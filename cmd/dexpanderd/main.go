@@ -432,7 +432,10 @@ func runSmokeDist(base string) error {
 	if err != nil {
 		return err
 	}
-	want := triangle.CountParallel2D(graph.WholeGraph(g), 0)
+	want, err := triangle.Count(graph.WholeGraph(g), triangle.Options{Kernel: triangle.Kernel2D})
+	if err != nil {
+		return err
+	}
 
 	// The fixed request ID makes the fan-out's cross-replica trace
 	// retrievable below.

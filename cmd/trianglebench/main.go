@@ -9,7 +9,7 @@
 // benchrunner and CI use), so experiment tables land in the perf
 // trajectory instead of only on stdout.
 //
-// With -kernel {merge,rank,2d,auto} the command instead runs one
+// With -kernel {rank,2d,auto} the command instead runs one
 // shared-memory triangle kernel on the graph selected by the standard
 // -graph/-size/... flags (default: a Barabási–Albert hub graph, the
 // shape the rank and 2d kernels are built for) and prints the count,
@@ -20,7 +20,7 @@
 //
 //	trianglebench -sizes 24,48,96 -seed 1 -json bench-out
 //	trianglebench -kernel rank -graph barabasi-albert -size 65536 -d 8
-//	trianglebench -kernel merge -graph chung-lu -size 4096
+//	trianglebench -kernel 2d -graph chung-lu -size 4096
 package main
 
 import (
@@ -44,7 +44,7 @@ func run() error {
 		all     = flag.Bool("all", false, "run every experiment table (E1..E11), not just triangles")
 		szs     = flag.String("sizes", "", "comma-separated sizes for a custom scaling run")
 		jsonDir = flag.String("json", "", "also write the tables as a BENCH_*.json report into this directory")
-		kernel  = flag.String("kernel", "", "run one local kernel (merge, rank, 2d, or auto) on the -graph selection instead of the experiment tables")
+		kernel  = flag.String("kernel", "", "run one local kernel (rank, 2d, or auto) on the -graph selection instead of the experiment tables")
 		workers = flag.Int("workers", 0, "worker count for -kernel runs (0 = GOMAXPROCS)")
 	)
 	// The shared graph flag block (including -seed) drives -kernel runs;
@@ -120,14 +120,20 @@ func runKernel(name string, workers int, gf *cli.GraphFlags) error {
 		count    int
 		checksum uint64
 	)
+	opt := triangle.Options{Workers: workers, Kernel: k}
 	start := time.Now()
 	if k == triangle.Kernel2D {
-		count = triangle.CountParallel2D(view, workers)
+		count, err = triangle.Count(view, opt)
 		checksum = triangle.HashWords(uint64(count))
 	} else {
-		set := triangle.SetKernel(view, workers, k)
-		count = set.Len()
-		checksum = set.Checksum()
+		var set *triangle.Set
+		set, err = triangle.List(view, opt)
+		if err == nil {
+			count, checksum = set.Len(), set.Checksum()
+		}
+	}
+	if err != nil {
+		return err
 	}
 	wall := time.Since(start)
 	fmt.Printf("%s n=%d m=%d kernel=%s workers=%d triangles=%d checksum=fnv64:%016x wall=%v\n",

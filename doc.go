@@ -13,29 +13,30 @@
 // path, and deterministic sharded delivery keep 10k-node round-heavy
 // workloads running at hundreds of simulated rounds per second; see the
 // internal/congest package comment for the substrate's contracts and
-// harness experiment E11 for measured throughput. The shared-memory
-// triangle kernels follow the same sharding discipline:
-// triangle.BruteForceParallel partitions a sorted compressed adjacency
-// by vertex range across GOMAXPROCS workers with a deterministic merge,
-// several times faster than the sequential oracle on thousands of
-// vertices.
+// harness experiment E11 for measured throughput.
 //
-// On power-law inputs the triangle hot path switches to the skew-proof
-// rank kernel (the default behind CountParallel/TrianglesParallel):
-// vertices are reordered by descending degree and each keeps only its
-// higher-rank neighbors, so forward lists are O(sqrt(m)) long and a
-// hub's O(deg^2) wedge term disappears; per-pair intersections pick
-// between a two-pointer merge, an epoch-stamped mark array probed with
-// no clearing, and galloping binary search by length ratio (tuned via
-// BenchmarkIntersectionStrategies). A 2D edge-partitioned counting
-// path (triangle.CountParallel2D, after Tom & Karypis) tiles the rank
-// space into forward-volume-balanced blocks whose (i, j, k) triples
-// run as independent internal/par tasks — the seam for multi-node
-// counting. All kernels are bit-identical for every worker count, a
-// contract the bench baseline's merge-vs-rank checksum equality
-// re-proves on every CI run; kernels are selectable per request via
-// the service's "kernel" query parameter and trianglebench's -kernel
-// flag.
+// The shared-memory triangle kernels sit behind one surface,
+// triangle.Count and triangle.List, configured by triangle.Options
+// (Workers, Kernel, Check, Span). Both run over one rank-permuted
+// forward CSR: vertices are reordered by descending degree and each
+// keeps only its higher-rank neighbors, so forward lists are
+// O(sqrt(m)) long and a hub's O(deg^2) wedge term disappears. The rank
+// kernel (the default) shards the rank space across internal/par tasks;
+// per-pair intersections pick between a two-pointer merge, an
+// epoch-stamped mark array probed with no clearing, and galloping
+// binary search by length ratio (tuned via
+// BenchmarkIntersectionStrategies). The 2D edge-partitioned counting
+// path (Kernel 2d, after Tom & Karypis) tiles the rank space into
+// forward-volume-balanced blocks whose (i, j, k) triples run as
+// independent internal/par tasks; the CSR has the layout of a DXFR1
+// wire fragment, so the local count, the coordinator's fallback, and a
+// replica counting shipped fragments share one block-triple loop — the
+// seam for multi-node counting. All kernels are bit-identical for every
+// worker count: tests pin them against BruteForce and against the
+// id-ordered merge kernel, now a test-only oracle, and the bench
+// baseline pins their checksums on every CI run. Kernels are
+// selectable per request via the service's "kernel" query parameter
+// and trianglebench's -kernel flag.
 //
 // The decomposition stack runs on a sparse local walk engine
 // (internal/spectral's WalkState): the truncated lazy walk at the heart

@@ -109,7 +109,7 @@ func baScenario(n, m0 int) Scenario {
 
 // SkewedScenarios is the heavy-tail slice of the matrix: preferential
 // attachment and heavy-tail Chung-Lu (gamma just above 2, the regime
-// where hubs dominate) at two sizes each — the inputs the id-ordered
+// where hubs dominate) at two sizes each — the inputs an id-ordered
 // merge kernel degrades on and the rank/2D kernels are built for.
 func SkewedScenarios() []Scenario {
 	return []Scenario{
@@ -121,29 +121,32 @@ func SkewedScenarios() []Scenario {
 }
 
 // SkewedAlgorithms are the kernel columns run on SkewedScenarios: the
-// merge and rank enumeration kernels (whose checksums digest the full
-// triangle set, so the baseline gate pins the rank kernel bit-identical
-// to merge on every CI run) plus the 2D edge-partitioned counting path
-// (whose triangle count must match both).
+// rank enumeration kernel (whose checksum digests the full triangle set,
+// pinned by the baseline gate) plus the 2D edge-partitioned counting
+// path (whose triangle count must match it). The triangle package's
+// merge-oracle property test checks the rank sets on these graphs.
 func SkewedAlgorithms() []Algorithm {
 	return []Algorithm{
-		{Name: "enumerate-merge", Run: kernelCell(triangle.KernelMerge)},
-		{Name: "enumerate-rank", Run: kernelCell(triangle.KernelRank)},
+		{Name: "enumerate-rank", Run: runList},
 		{Name: "count-2d", Run: runCount2D},
 	}
 }
 
-// kernelCell runs the selected triangle kernel over the whole view with
-// the default worker pool and digests the full triangle set.
-func kernelCell(k triangle.Kernel) func(view *graph.Sub, seed uint64) (Result, error) {
-	return func(view *graph.Sub, seed uint64) (Result, error) {
-		set := triangle.SetKernel(view, 0, k)
-		return Result{Triangles: set.Len(), Checksum: set.Checksum()}, nil
+// runList runs the rank kernel over the whole view with the default
+// worker pool and digests the full triangle set.
+func runList(view *graph.Sub, seed uint64) (Result, error) {
+	set, err := triangle.List(view, triangle.Options{})
+	if err != nil {
+		return Result{}, err
 	}
+	return Result{Triangles: set.Len(), Checksum: set.Checksum()}, nil
 }
 
 func runCount2D(view *graph.Sub, seed uint64) (Result, error) {
-	n := triangle.CountParallel2D(view, 0)
+	n, err := triangle.Count(view, triangle.Options{Kernel: triangle.Kernel2D})
+	if err != nil {
+		return Result{}, err
+	}
 	return Result{Triangles: n, Checksum: triangle.HashWords(uint64(n))}, nil
 }
 
@@ -156,7 +159,7 @@ const engineProbeRounds = 60
 func Algorithms() []Algorithm {
 	return []Algorithm{
 		{Name: "brute", Run: runBrute},
-		{Name: "brute-par", Run: runBrutePar},
+		{Name: "brute-par", Run: runList},
 		{Name: "clique-dlp", Run: runCliqueDLP},
 		{Name: "naive", Run: runNaive},
 		{Name: "pipeline", Run: runPipeline},
@@ -169,17 +172,12 @@ func Algorithms() []Algorithm {
 func LocalAlgorithms() []Algorithm {
 	return []Algorithm{
 		{Name: "brute", Run: runBrute},
-		{Name: "brute-par", Run: runBrutePar},
+		{Name: "brute-par", Run: runList},
 	}
 }
 
 func runBrute(view *graph.Sub, seed uint64) (Result, error) {
 	set := triangle.BruteForce(view)
-	return Result{Triangles: set.Len(), Checksum: set.Checksum()}, nil
-}
-
-func runBrutePar(view *graph.Sub, seed uint64) (Result, error) {
-	set := triangle.BruteForceParallel(view, 0)
 	return Result{Triangles: set.Len(), Checksum: set.Checksum()}, nil
 }
 

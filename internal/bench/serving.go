@@ -119,7 +119,11 @@ func runServeDist(view *graph.Sub, seed uint64) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	if want := triangle.CountParallel2D(view, 0); res.Triangles != want {
+	want, err := triangle.Count(view, triangle.Options{Kernel: triangle.Kernel2D})
+	if err != nil {
+		return Result{}, err
+	}
+	if res.Triangles != want {
 		return Result{}, fmt.Errorf("bench: serve-dist counted %d triangles, local 2D kernel %d", res.Triangles, want)
 	}
 	sums, err := parseChecksums(res.Checksum)

@@ -94,7 +94,7 @@ func (cmpsBackend) Decompose(view *graph.Sub, opt Options) (*Decomposition, cong
 			whole   bool
 		}
 		outs := make([]clusterOut, len(tasks))
-		if err := par.ForEachCheck(workers, len(tasks), opt.Check, func(i int) {
+		if err := par.ForEach(workers, len(tasks), opt.Check, nil, "", func(i int) {
 			u := tasks[i]
 			priv := acquireMask(mask)
 			defer releaseMask(priv)

@@ -279,7 +279,7 @@ func Decompose(view *graph.Sub, opt Options, subs Subroutines) (*Decomposition, 
 	outs := make([]phase2Out, len(phase2))
 	psp := st.span.Child("core.phase2")
 	psp.AttrInt("components", len(phase2))
-	if err := par.ForEachCheckSpan(st.workers, len(phase2), st.check, psp, "core.phase2.component", func(i int) {
+	if err := par.ForEach(st.workers, len(phase2), st.check, psp, "core.phase2.component", func(i int) {
 		outs[i] = st.phase2(phase2[i], budgets[i], bases[i])
 	}); err != nil {
 		psp.End()
@@ -388,7 +388,7 @@ func (s *state) phase1Level(tasks []*graph.VSet, dec *Decomposition, lsp *obs.Sp
 	lddOuts := make([]lddOut, len(tasks))
 	lddSpan := lsp.Child("core.ldd")
 	lddSpan.AttrInt("tasks", len(tasks))
-	if err := par.ForEachCheckSpan(s.workers, len(tasks), s.check, lddSpan, "core.ldd.task", func(i int) {
+	if err := par.ForEach(s.workers, len(tasks), s.check, lddSpan, "core.ldd.task", func(i int) {
 		o := &lddOuts[i]
 		u := tasks[i]
 		priv := acquireMask(s.mask)
@@ -441,7 +441,7 @@ func (s *state) phase1Level(tasks []*graph.VSet, dec *Decomposition, lsp *obs.Sp
 	cutOuts := make([]cutOut, len(afterLDD))
 	cutSpan := lsp.Child("core.cut")
 	cutSpan.AttrInt("tasks", len(afterLDD))
-	if err := par.ForEachCheckSpan(s.workers, len(afterLDD), s.check, cutSpan, "core.cut.task", func(i int) {
+	if err := par.ForEach(s.workers, len(afterLDD), s.check, cutSpan, "core.cut.task", func(i int) {
 		o := &cutOuts[i]
 		u := afterLDD[i]
 		priv := acquireMask(s.mask)

@@ -119,7 +119,7 @@ func ParallelNibble(view *graph.Sub, pr Params, r *rng.RNG) *ParallelResult {
 	if workers > 1 && k > 1 {
 		view.UsableNeighbors(starts[0].v) // build the shared view cache once, up front
 	}
-	par.ForEach(workers, k, func(i int) {
+	par.ForEach(workers, k, nil, nil, "", func(i int) {
 		results[i] = ApproximateNibble(view, pr, starts[i].v, starts[i].b)
 	})
 	// Seed-order merge: identical to accumulating inside a serial loop.

@@ -63,60 +63,41 @@ func Workers(requested int) int {
 // execution the equivalence tests oracle against. Tasks are handed out in
 // index order through a shared counter; fn must write results only into
 // its own index's slot.
-func ForEach(workers, n int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// ForEachCheck is ForEach with a cooperative-cancellation probe: cp
-// (when non-nil) is consulted before each task starts, and once it
+//
+// cp (when non-nil) is consulted before each task starts, and once it
 // reports an error no further tasks begin — tasks already running finish
 // their current fn call, so a caller is released within one task (one
 // "checkpoint interval") of the cancellation. The first checkpoint error
-// is returned; an uncanceled run returns nil having executed exactly the
-// calls ForEach would, in a schedule drawn from the same shared counter,
-// so outputs stay bit-identical. With a nil cp it is exactly ForEach.
-func ForEachCheck(workers, n int, cp Checkpoint, fn func(i int)) error {
-	if cp == nil {
-		ForEach(workers, n, fn)
-		return nil
-	}
+// is returned; an uncanceled run returns nil having executed every call,
+// so outputs stay bit-identical.
+//
+// When sp is non-nil every task runs under its own child span named name
+// with a "task" attribute holding the task index. Each task's span is
+// created and ended on the worker goroutine running it; spans only read
+// the shared parent's immutable identity, so concurrent tasks are safe.
+// A nil cp or sp costs one pointer test.
+func ForEach(workers, n int, cp Checkpoint, sp *obs.Span, name string, fn func(i int)) error {
 	if n <= 0 {
 		return nil
+	}
+	if sp != nil {
+		inner := fn
+		fn = func(i int) {
+			child := sp.Child(name)
+			child.AttrInt("task", i)
+			inner(i)
+			child.End()
+		}
 	}
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			if err := cp(); err != nil {
-				return err
+			if cp != nil {
+				if err := cp(); err != nil {
+					return err
+				}
 			}
 			fn(i)
 		}
@@ -129,13 +110,12 @@ func ForEachCheck(workers, n int, cp Checkpoint, fn func(i int)) error {
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for {
-				if err := cp(); err != nil {
-					firstErr.CompareAndSwap(nil, &err)
-					return
-				}
-				if firstErr.Load() != nil {
-					return
+			for firstErr.Load() == nil {
+				if cp != nil {
+					if err := cp(); err != nil {
+						firstErr.CompareAndSwap(nil, &err)
+						return
+					}
 				}
 				i := int(next.Add(1)) - 1
 				if i >= n {
@@ -150,25 +130,4 @@ func ForEachCheck(workers, n int, cp Checkpoint, fn func(i int)) error {
 		return *p
 	}
 	return nil
-}
-
-// ForEachCheckSpan is ForEachCheck with per-task tracing: when sp is
-// non-nil every task runs under its own child span named name with a
-// "task" attribute holding the task index (tasks are handed out from
-// the same deterministic index space ForEach uses, so the index
-// identifies the work item). Each task's span is created and ended on
-// the worker goroutine running it; spans only read the shared
-// parent's immutable identity, so concurrent tasks are safe. With a
-// nil sp this is exactly ForEachCheck — the probe costs one pointer
-// test, keeping tracing off the hot path.
-func ForEachCheckSpan(workers, n int, cp Checkpoint, sp *obs.Span, name string, fn func(i int)) error {
-	if sp == nil {
-		return ForEachCheck(workers, n, cp, fn)
-	}
-	return ForEachCheck(workers, n, cp, func(i int) {
-		child := sp.Child(name)
-		child.AttrInt("task", i)
-		fn(i)
-		child.End()
-	})
 }

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"sync/atomic"
 	"testing"
+
+	"dexpander/internal/obs"
 )
 
 func TestWorkersResolution(t *testing.T) {
@@ -25,24 +27,24 @@ func TestForEachCoversEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 7, 64} {
 		const n = 50
 		var hits [n]atomic.Int32
-		ForEach(workers, n, func(i int) { hits[i].Add(1) })
+		ForEach(workers, n, nil, nil, "", func(i int) { hits[i].Add(1) })
 		for i := range hits {
 			if got := hits[i].Load(); got != 1 {
 				t.Fatalf("workers=%d: index %d ran %d times", workers, i, got)
 			}
 		}
 	}
-	ForEach(4, 0, func(i int) { t.Fatal("fn called for n=0") })
+	ForEach(4, 0, nil, nil, "", func(i int) { t.Fatal("fn called for n=0") })
 }
 
 // TestForEachCheckUncanceledMatchesForEach: with a never-firing (or nil)
-// probe, ForEachCheck runs exactly the calls ForEach would.
+// probe, ForEach runs every call exactly once and returns nil.
 func TestForEachCheckUncanceledMatchesForEach(t *testing.T) {
 	for _, cp := range []Checkpoint{nil, func() error { return nil }} {
 		for _, workers := range []int{1, 2, 7, 64} {
 			const n = 50
 			var hits [n]atomic.Int32
-			if err := ForEachCheck(workers, n, cp, func(i int) { hits[i].Add(1) }); err != nil {
+			if err := ForEach(workers, n, cp, nil, "", func(i int) { hits[i].Add(1) }); err != nil {
 				t.Fatalf("workers=%d: uncanceled run returned %v", workers, err)
 			}
 			for i := range hits {
@@ -68,7 +70,7 @@ func TestForEachCheckStopsOnCancel(t *testing.T) {
 			}
 			return nil
 		}
-		err := ForEachCheck(workers, 1000, cp, func(i int) {
+		err := ForEach(workers, 1000, cp, nil, "", func(i int) {
 			ran.Add(1)
 			if ran.Load() >= 3 {
 				fired.Store(true)
@@ -90,11 +92,36 @@ func TestForEachCheckStopsOnCancel(t *testing.T) {
 func TestForEachCheckPreCanceled(t *testing.T) {
 	boom := errors.New("boom")
 	for _, workers := range []int{1, 4} {
-		err := ForEachCheck(workers, 10, func() error { return boom }, func(i int) {
+		err := ForEach(workers, 10, func() error { return boom }, nil, "", func(i int) {
 			t.Fatal("task ran under a pre-canceled probe")
 		})
 		if !errors.Is(err, boom) {
 			t.Fatalf("workers=%d: err = %v", workers, err)
+		}
+	}
+}
+
+// TestForEachSpanPerTask: with a parent span every task runs under one
+// child span of the given name, on the inline and the fanned-out paths.
+func TestForEachSpanPerTask(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		tr := obs.NewTracer(64, 1)
+		root := tr.Root("req", "root")
+		if err := ForEach(workers, 6, nil, root, "unit.task", func(i int) {}); err != nil {
+			t.Fatal(err)
+		}
+		root.End()
+		tasks := 0
+		for _, sp := range tr.Trace("req") {
+			if sp.Name == "unit.task" {
+				tasks++
+				if sp.Parent != root.ID {
+					t.Fatalf("workers=%d: task span parented at %d, want %d", workers, sp.Parent, root.ID)
+				}
+			}
+		}
+		if tasks != 6 {
+			t.Fatalf("workers=%d: %d task spans, want 6", workers, tasks)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -44,6 +45,17 @@ func (fc *fragPutCounter) maxPuts() int {
 	return m
 }
 
+// local2D is the library's local 2D count of the whole graph — the
+// total every distributed count must reproduce.
+func local2D(t *testing.T, g *graph.Graph) int {
+	t.Helper()
+	n, err := triangle.Count(graph.WholeGraph(g), triangle.Options{Kernel: triangle.Kernel2D})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
 // startReplicas boots n loopback dexpanderd replicas with PUT counters.
 func startReplicas(t *testing.T, n int) (bases []string, svcs []*Service, counters []*fragPutCounter) {
 	t.Helper()
@@ -62,7 +74,7 @@ func startReplicas(t *testing.T, n int) (bases []string, svcs []*Service, counte
 
 // TestDistCountMatchesLocalKernel is the acceptance property: for every
 // generator family, seed, and replica count (0 = local fallback), the
-// distributed total and checksum are bit-identical to CountParallel2D —
+// distributed total and checksum are bit-identical to the local 2D count —
 // and no replica receives any fragment key twice.
 func TestDistCountMatchesLocalKernel(t *testing.T) {
 	families := []struct {
@@ -77,7 +89,7 @@ func TestDistCountMatchesLocalKernel(t *testing.T) {
 	for _, fam := range families {
 		for seed := uint64(1); seed <= 2; seed++ {
 			g := fam.build(seed)
-			want := triangle.CountParallel2D(graph.WholeGraph(g), 0)
+			want := local2D(t, g)
 			wantSum := checksumString(triangle.HashWords(uint64(want)))
 			for _, replicas := range []int{0, 1, 2, 3} {
 				bases, svcs, counters := startReplicas(t, replicas)
@@ -124,7 +136,7 @@ func TestDistCountMatchesLocalKernel(t *testing.T) {
 // forced grid dimension yields the same count and checksum.
 func TestDistCountGridSweep(t *testing.T) {
 	g := gen.ChungLu(96, 2.2, 8, 3)
-	want := triangle.CountParallel2D(graph.WholeGraph(g), 0)
+	want := local2D(t, g)
 	bases, _, _ := startReplicas(t, 2)
 	coord := New(Config{Workers: 2, Peers: bases, DistWindow: 3})
 	defer coord.Close()
@@ -181,7 +193,7 @@ func (fa *failAfter) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // bit-identical to the local kernel.
 func TestDistCountSurvivesReplicaFailure(t *testing.T) {
 	g := gen.BarabasiAlbert(160, 6, 9)
-	want := triangle.CountParallel2D(graph.WholeGraph(g), 0)
+	want := local2D(t, g)
 
 	var bases []string
 	for i := 0; i < 3; i++ {
@@ -259,5 +271,27 @@ func TestFragmentCacheEviction(t *testing.T) {
 	}
 	if _, err := svc.DistCountTriple(id, plan.Tiling, triangle.BlockTriple{I: 0, J: 0, K: 0}); err == nil {
 		t.Fatal("count on the evicted fragment succeeded")
+	}
+}
+
+// TestDistRejectsHugeRankSpace pins the replica's allocation guard: a
+// ~50-byte fragment declaring a 2^31-1 rank space, then a count whose
+// tiling declares the same space, would size a 4-byte stamp per rank
+// (8 GiB). Both requests must come back as the 400 bad_request envelope
+// before anything is sized by the declared rank space.
+func TestDistRejectsHugeRankSpace(t *testing.T) {
+	_, c := startServer(t, Config{Workers: 1})
+	ctx := context.Background()
+	const huge = 1<<31 - 1
+	frag := &triangle.Fragment{Ranks: huge, Lo: 0, Hi: 0, Off: []int32{0}}
+	var apiErr *APIError
+	err := c.PutFragment(ctx, "x", 2, 0, 0, frag.Encode())
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest || apiErr.Code != CodeBadRequest {
+		t.Fatalf("fragment with rank space %d: %v", huge, err)
+	}
+	tl := triangle.Tiling{P: 2, Ranks: huge, Cuts: []int32{0, 0, huge}}
+	_, err = c.DistCount(ctx, "x", tl, triangle.BlockTriple{})
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest || apiErr.Code != CodeBadRequest {
+		t.Fatalf("tiling with rank space %d: %v", huge, err)
 	}
 }

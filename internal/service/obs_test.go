@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"dexpander/internal/gen"
-	"dexpander/internal/graph"
 	"dexpander/internal/obs"
 	"dexpander/internal/triangle"
 )
@@ -70,7 +69,7 @@ func TestTraceDistPropagation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := triangle.CountParallel2D(graph.WholeGraph(g), 0)
+	want := local2D(t, g)
 	if res.Triangles != want || res.Checksum != checksumString(triangle.HashWords(uint64(want))) {
 		t.Fatalf("traced dist count %d (%s), local kernel %d", res.Triangles, res.Checksum, want)
 	}

@@ -253,10 +253,10 @@ func (p DecomposeParams) run(ctx context.Context, view *graph.Sub, env runEnv) (
 
 // CountParams configures the shared-memory triangle count.
 type CountParams struct {
-	// Kernel selects the kernel: "merge", "rank", "2d", or "auto" (the
-	// default; currently the rank kernel). merge, rank, and auto produce
-	// bit-identical checksums; 2d runs the counting-only edge-partitioned
-	// path, whose checksum digests the count alone.
+	// Kernel selects the kernel: "rank", "2d", or "auto" (the default;
+	// currently the rank kernel). rank and auto produce bit-identical
+	// checksums; 2d runs the counting-only edge-partitioned path, whose
+	// checksum digests the count alone.
 	Kernel string `json:"kernel,omitempty"`
 }
 
@@ -277,34 +277,25 @@ func (p CountParams) validate() error {
 
 func (p CountParams) canon() string { return fmt.Sprintf("kernel=%s", p.Kernel) }
 
-// run executes the selected shared-memory kernel. For merge, rank, and
-// auto the checksum digests the full triangle set — identical across the
-// three and matching the bench matrix's brute/brute-par and
-// enumerate-merge/enumerate-rank cells. The 2d kernel counts without
-// materializing a set, so its checksum digests the count alone, exactly
-// like the matrix's count-2d cells.
+// run executes the selected shared-memory kernel. For rank and auto the
+// checksum digests the full triangle set — identical across the two and
+// matching the bench matrix's brute/brute-par and enumerate-rank cells.
+// The 2d kernel counts without materializing a set, so its checksum
+// digests the count alone, exactly like the matrix's count-2d cells.
 func (p CountParams) run(ctx context.Context, view *graph.Sub, env runEnv) (*Result, error) {
 	k, err := triangle.ParseKernel(p.Kernel)
 	if err != nil {
 		return nil, err
 	}
-	cp := par.CheckpointFromContext(ctx)
 	sp := env.span.Child("count")
 	sp.Attr("kernel", p.Kernel)
 	defer sp.End()
-	start := time.Now()
+	opt := triangle.Options{Workers: env.workers, Kernel: k, Check: par.CheckpointFromContext(ctx), Span: sp}
 	if k == triangle.Kernel2D {
-		n, err := triangle.CountParallel2DSpan(view, env.workers, cp, sp)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{
-			Checksum:  checksumString(triangle.HashWords(uint64(n))),
-			ComputeNS: time.Since(start).Nanoseconds(),
-			Triangles: n,
-		}, nil
+		return countResult(view, opt)
 	}
-	set, err := triangle.SetKernelCheck(view, env.workers, k, cp)
+	start := time.Now()
+	set, err := triangle.List(view, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -408,29 +399,36 @@ func (p DistCountParams) validate() error {
 func (p DistCountParams) canon() string { return fmt.Sprintf("grid=%d", p.Grid) }
 
 // run counts triangles through the distribution layer. The total is the
-// per-triple counts reduced in task order, so it is bit-identical to
-// triangle.CountParallel2D for every peer count — including zero, where
-// it IS the local kernel. The checksum digests the count alone, exactly
-// like the count-2d bench cells.
+// per-triple counts reduced in task order, so it is bit-identical to the
+// local 2D count for every peer count — including zero, where it IS the
+// local kernel. A view whose rank space exceeds triangle.MaxRanks is
+// counted locally too: replicas reject such tilings. The checksum
+// digests the count alone, exactly like the count-2d bench cells.
 func (p DistCountParams) run(ctx context.Context, view *graph.Sub, env runEnv) (*Result, error) {
-	peers := env.svc.cfg.Peers
-	if len(peers) == 0 {
-		cp := par.CheckpointFromContext(ctx)
-		sp := env.span.Child("count")
-		sp.Attr("kernel", "2d-local")
-		defer sp.End()
-		start := time.Now()
-		n, err := triangle.CountParallel2DSpan(view, env.workers, cp, sp)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{
-			Checksum:  checksumString(triangle.HashWords(uint64(n))),
-			ComputeNS: time.Since(start).Nanoseconds(),
-			Triangles: n,
-		}, nil
+	if len(env.svc.cfg.Peers) > 0 && view.Base().N() <= triangle.MaxRanks {
+		return env.svc.distCount(ctx, view, env.fingerprint, p.Grid, env.span)
 	}
-	return env.svc.distCount(ctx, view, env.fingerprint, p.Grid, env.span)
+	sp := env.span.Child("count")
+	sp.Attr("kernel", "2d-local")
+	defer sp.End()
+	return countResult(view, triangle.Options{
+		Workers: env.workers, Kernel: triangle.Kernel2D,
+		Check: par.CheckpointFromContext(ctx), Span: sp,
+	})
+}
+
+// countResult runs triangle.Count and digests the count alone.
+func countResult(view *graph.Sub, opt triangle.Options) (*Result, error) {
+	start := time.Now()
+	n, err := triangle.Count(view, opt)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{
+		Checksum:  checksumString(triangle.HashWords(uint64(n))),
+		ComputeNS: time.Since(start).Nanoseconds(),
+		Triangles: n,
+	}, nil
 }
 
 // checksumString renders a digest the way every bench cell does, so

@@ -171,7 +171,7 @@ func TestServerGzipUpload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := triangle.Count(graph.WholeGraph(g)); res.Triangles != want {
+	if want := triangle.BruteForce(graph.WholeGraph(g)).Len(); res.Triangles != want {
 		t.Fatalf("triangles on uploaded graph: %d, want %d", res.Triangles, want)
 	}
 }
@@ -209,6 +209,9 @@ func TestServerErrorEnvelope(t *testing.T) {
 	}
 	if _, err := c.Decompose(ctx, snap.ID, DecomposeParams{K: -2}); !errors.As(err, &apiErr) || apiErr.Code != CodeBadRequest {
 		t.Fatalf("negative k: %v", err)
+	}
+	if _, err := c.TriangleCount(ctx, snap.ID, CountParams{Kernel: "merge"}); !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest || apiErr.Code != CodeBadRequest {
+		t.Fatalf("retired merge kernel: %v", err)
 	}
 
 	// Typed params reject fields from other algorithms instead of

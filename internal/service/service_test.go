@@ -245,6 +245,7 @@ func TestCanonStrings(t *testing.T) {
 		{DecomposeParams{Backend: "par-cmps"}, "backend=par-cmps eps=0.4 k=2 max_eps=0 seed=1"},
 		{CountParams{}, "kernel=auto"},
 		{CountParams{Kernel: "auto"}, "kernel=auto"},
+		{CountParams{Kernel: "rank"}, "kernel=rank"},
 		{CountParams{Kernel: "2d"}, "kernel=2d"},
 		{EnumerateParams{}, "seed=1 limit=1000"},
 		{EnumerateParams{Seed: 1, Limit: 1000}, "seed=1 limit=1000"},
@@ -257,11 +258,12 @@ func TestCanonStrings(t *testing.T) {
 	}
 }
 
-// TestTriangleCountKernels pins the kernel query parameter: merge, rank,
-// and auto must serve the identical full-set checksum (distinct cache
-// keys, same bytes — the serving layer's replay of the kernels'
-// bit-identity contract), 2d must report the same count under its
-// count-only digest, and an unknown kernel is a caller error.
+// TestTriangleCountKernels pins the kernel query parameter: rank and
+// auto must serve the identical full-set checksum (distinct cache keys,
+// same bytes — the serving layer's replay of the kernels' bit-identity
+// contract), 2d must report the same count under its count-only digest,
+// and an unknown kernel — including the retired "merge" — is a caller
+// error.
 func TestTriangleCountKernels(t *testing.T) {
 	s := New(Config{Workers: 2})
 	defer s.Close()
@@ -281,7 +283,7 @@ func TestTriangleCountKernels(t *testing.T) {
 	if auto.Params != "kernel=auto" {
 		t.Fatalf("default params = %q, want kernel=auto", auto.Params)
 	}
-	for _, kernel := range []string{"merge", "rank", "auto"} {
+	for _, kernel := range []string{"rank", "auto"} {
 		res, err := s.Query(bg, "", snap.ID, CountParams{Kernel: kernel})
 		if err != nil {
 			t.Fatalf("kernel %s: %v", kernel, err)
@@ -301,8 +303,10 @@ func TestTriangleCountKernels(t *testing.T) {
 	if twod.Checksum != checksumString(triangle.HashWords(uint64(twod.Triangles))) {
 		t.Fatalf("2d checksum %s does not digest the count", twod.Checksum)
 	}
-	if _, err := s.Query(bg, "", snap.ID, CountParams{Kernel: "quantum"}); err == nil {
-		t.Fatal("unknown kernel accepted")
+	for _, kernel := range []string{"quantum", "merge"} {
+		if _, err := s.Query(bg, "", snap.ID, CountParams{Kernel: kernel}); err == nil {
+			t.Fatalf("unknown kernel %q accepted", kernel)
+		}
 	}
 }
 

@@ -69,7 +69,7 @@ func TestEnumerateCanceled(t *testing.T) {
 	}
 }
 
-// TestCountKernelCheckCancel covers each kernel's counting path: a
+// TestCountKernelCheckCancel covers each kernel's Count path: a
 // pre-canceled probe aborts, a never-firing probe reproduces the exact
 // uncanceled count.
 func TestCountKernelCheckCancel(t *testing.T) {
@@ -77,13 +77,15 @@ func TestCountKernelCheckCancel(t *testing.T) {
 	view := graph.WholeGraph(g)
 	want := BruteForce(view).Len()
 	boom := errors.New("boom")
-	for _, k := range []Kernel{KernelMerge, KernelRank, Kernel2D} {
+	for _, k := range []Kernel{KernelAuto, KernelRank, Kernel2D} {
 		for _, workers := range []int{1, 4} {
-			if _, err := CountKernelCheck(view, workers, k, func() error { return boom }); !errors.Is(err, boom) {
+			opt := Options{Workers: workers, Kernel: k, Check: func() error { return boom }}
+			if _, err := Count(view, opt); !errors.Is(err, boom) {
 				t.Fatalf("kernel=%v workers=%d: pre-canceled count: %v", k, workers, err)
 			}
 			var probes atomic.Int64
-			got, err := CountKernelCheck(view, workers, k, func() error { probes.Add(1); return nil })
+			opt.Check = func() error { probes.Add(1); return nil }
+			got, err := Count(view, opt)
 			if err != nil {
 				t.Fatalf("kernel=%v workers=%d: %v", k, workers, err)
 			}
@@ -97,18 +99,29 @@ func TestCountKernelCheckCancel(t *testing.T) {
 	}
 }
 
-// TestSetKernelCheckCancel mirrors the counting coverage for the Set
-// entry point (2D resolves to rank for enumeration).
+// TestSetKernelCheckCancel mirrors the counting coverage for List (2D
+// resolves to rank for enumeration), including a probe that fires
+// mid-run inside a rank shard.
 func TestSetKernelCheckCancel(t *testing.T) {
 	g := gen.GNP(48, 0.3, 5)
 	view := graph.WholeGraph(g)
 	want := BruteForce(view)
 	boom := errors.New("boom")
-	for _, k := range []Kernel{KernelMerge, KernelRank} {
-		if _, err := SetKernelCheck(view, 4, k, func() error { return boom }); !errors.Is(err, boom) {
+	for _, k := range []Kernel{KernelRank, Kernel2D} {
+		if _, err := List(view, Options{Workers: 4, Kernel: k, Check: func() error { return boom }}); !errors.Is(err, boom) {
 			t.Fatalf("kernel=%v: pre-canceled set: %v", k, err)
 		}
-		set, err := SetKernelCheck(view, 4, k, func() error { return nil })
+		var probes atomic.Int64
+		late := func() error {
+			if probes.Add(1) > 10 {
+				return boom
+			}
+			return nil
+		}
+		if _, err := List(view, Options{Workers: 1, Kernel: k, Check: late}); !errors.Is(err, boom) {
+			t.Fatalf("kernel=%v: mid-run canceled set: %v", k, err)
+		}
+		set, err := List(view, Options{Workers: 4, Kernel: k, Check: func() error { return nil }})
 		if err != nil {
 			t.Fatalf("kernel=%v: %v", k, err)
 		}

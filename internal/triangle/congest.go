@@ -14,7 +14,8 @@ import (
 	"dexpander/internal/route"
 )
 
-// Options configures the CONGEST enumeration.
+// Options configures the CONGEST enumeration and, through Workers,
+// Kernel, Check, and Span alone, the shared-memory Count and List.
 type Options struct {
 	// Eps is the decomposition target (paper: <= 1/6 so that the E*
 	// recursion halves). Defaults to 1/6.
@@ -40,6 +41,9 @@ type Options struct {
 	// decomposition). 0 means GOMAXPROCS; 1 forces inline serial
 	// execution. The output is bit-identical for every value.
 	Workers int
+	// Kernel selects the shared-memory kernel of Count and List (the
+	// zero value is KernelAuto). Enumerate ignores it.
+	Kernel Kernel
 	// Check is the cooperative-cancellation probe (nil = never
 	// canceled), consulted at every recursion level and before each
 	// component task, and forwarded into the per-level decomposition.
@@ -208,7 +212,7 @@ func Enumerate(view *graph.Sub, opt Options) (*Set, Stats, error) {
 			})
 		}
 		results := make([]compResult, len(tasks))
-		if err := par.ForEachCheckSpan(workers, len(tasks), opt.Check, lsp, "enumerate.component", func(i int) {
+		if err := par.ForEach(workers, len(tasks), opt.Check, lsp, "enumerate.component", func(i int) {
 			set, cs, err := processComponent(cur, final, tasks[i].comp, opt, tasks[i].seed)
 			results[i] = compResult{set: set, stats: cs, err: err}
 		}); err != nil {

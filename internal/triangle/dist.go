@@ -13,9 +13,9 @@ import (
 // touches — and a compact versioned serialization of a rank-range slice
 // of the forward CSR, so a block triple becomes a shippable unit of work
 // a dexpanderd replica can execute from two fragments without ever
-// holding the graph. CountFragments reproduces countTwoD's task loop
-// instruction for instruction, so the sum of per-triple counts over any
-// tiling equals CountParallel2D's total exactly.
+// holding the graph. CountFragments runs the same countTriple task body
+// as the local 2D count, so the sum of per-triple counts over any tiling
+// equals Count's total exactly.
 
 // BlockTriple is one ordered (I <= J <= K) unit of distributed counting
 // work: triangles whose lowest-rank vertex falls in block I, middle
@@ -25,6 +25,13 @@ type BlockTriple struct {
 	J int `json:"j"`
 	K int `json:"k"`
 }
+
+// MaxRanks caps the rank-space size a decoded Fragment or a
+// coordinator-supplied Tiling may declare. Replicas size a 4-byte stamp
+// per rank from it, so without the cap a ~50-byte request could demand
+// an 8 GiB array. It equals the service's upload vertex cap; views
+// above it are counted locally, never shipped.
+const MaxRanks = 1 << 24
 
 // Tiling is the deterministic 2D block decomposition of a rank space:
 // Cuts[b]..Cuts[b+1] is block b's contiguous rank range, balanced by
@@ -46,7 +53,7 @@ func AutoGrid(units, ranks int) int { return twoDGrid(units, ranks) }
 func (tl Tiling) Block(b int) (lo, hi int32) { return tl.Cuts[b], tl.Cuts[b+1] }
 
 // Triples enumerates every ordered block triple (i <= j <= k) in the
-// canonical task order of countTwoD.
+// canonical task order of the 2D count.
 func (tl Tiling) Triples() []BlockTriple {
 	out := make([]BlockTriple, 0, tl.P*(tl.P+1)*(tl.P+2)/6)
 	for i := 0; i < tl.P; i++ {
@@ -70,7 +77,10 @@ func (tl Tiling) Validate() error {
 	if tl.P < 1 || len(tl.Cuts) != tl.P+1 {
 		return fmt.Errorf("triangle: tiling has p=%d with %d cuts", tl.P, len(tl.Cuts))
 	}
-	if tl.Ranks < 0 || tl.Cuts[0] != 0 || int(tl.Cuts[tl.P]) != tl.Ranks {
+	if tl.Ranks < 0 || tl.Ranks > MaxRanks {
+		return fmt.Errorf("triangle: tiling rank space %d outside [0, %d]", tl.Ranks, MaxRanks)
+	}
+	if tl.Cuts[0] != 0 || int(tl.Cuts[tl.P]) != tl.Ranks {
 		return fmt.Errorf("triangle: tiling cuts do not cover [0, %d)", tl.Ranks)
 	}
 	for b := 0; b < tl.P; b++ {
@@ -81,42 +91,47 @@ func (tl Tiling) Validate() error {
 	return nil
 }
 
-// DistPlan is the coordinator-side state for distributing one 2D count:
-// the rank-permuted forward CSR plus its tiling. Building it is the same
-// O(n + m) preprocessing CountParallel2D pays; fragments are then cheap
-// slices of it.
+// DistPlan is the 2D count's state, local or distributed: the
+// rank-permuted forward CSR plus its tiling. Building it is the O(n + m)
+// preprocessing every count pays; fragments are then cheap slices of it.
 type DistPlan struct {
 	rc     rankCSR
 	Tiling Tiling
 }
 
 // NewDistPlan builds the rank CSR and the p x p tiling for the view.
-// p < 1 is clamped to 1; p beyond the rank-space size is clamped down,
-// exactly like CountParallel2DGrid. The resulting block boundaries are
-// deterministic in (view, p) alone.
+// p < 1 is clamped to 1; p beyond the rank-space size is clamped down.
+// The resulting block boundaries are deterministic in (view, p) alone.
 func NewDistPlan(view *graph.Sub, p int) *DistPlan {
-	rc := buildRankCSR(view)
-	if p < 1 {
-		p = 1
-	}
-	if p > rc.ranks() && rc.ranks() > 0 {
-		p = rc.ranks()
+	return newDistPlan(buildRankCSR(view), p)
+}
+
+func newDistPlan(rc rankCSR, p int) *DistPlan {
+	p = max(p, 1)
+	if p > rc.Ranks && rc.Ranks > 0 {
+		p = rc.Ranks
 	}
 	return &DistPlan{
-		rc: rc,
-		Tiling: Tiling{
-			P:     p,
-			Ranks: rc.ranks(),
-			Cuts:  rankCuts(rc, p),
-		},
+		rc:     rc,
+		Tiling: Tiling{P: p, Ranks: rc.Ranks, Cuts: rankCuts(rc, p)},
 	}
 }
 
 // Fragment extracts block b's rank-range slice of the forward CSR as a
-// self-contained Fragment.
+// self-contained Fragment: Off is re-based, Nbr shares the plan's
+// (read-only) arcs.
 func (pl *DistPlan) Fragment(b int) *Fragment {
 	lo, hi := pl.Tiling.Block(b)
-	return sliceFragment(pl.rc, lo, hi)
+	all := pl.rc.Off
+	off := make([]int32, hi-lo+1)
+	for i := range off {
+		off[i] = all[lo+int32(i)] - all[lo]
+	}
+	return &Fragment{
+		Ranks: pl.rc.Ranks, Lo: lo, Hi: hi,
+		Off: off,
+		Nbr: pl.rc.Nbr[all[lo]:all[hi]:all[hi]],
+	}
 }
 
 // TripleCost estimates a triple's work for the volume-balanced schedule:
@@ -135,40 +150,17 @@ func (pl *DistPlan) blockVolume(b int) int64 {
 	if lo >= hi {
 		return 0
 	}
-	return int64(pl.rc.off[hi]-pl.rc.off[lo]) + int64(hi-lo)
+	return int64(pl.rc.Off[hi]-pl.rc.Off[lo]) + int64(hi-lo)
 }
 
-// CountTriple executes one block triple's task locally on the
-// coordinator's own CSR — the fallback when every replica has failed a
-// triple, and the oracle the distributed path is tested against. It is
-// countTwoD's task body verbatim.
+// CountTriple executes one block triple's task locally on the plan's
+// own CSR: the local 2D count's task, the coordinator's fallback when
+// every replica has failed a triple, and the oracle the distributed path
+// is tested against.
 func (pl *DistPlan) CountTriple(t BlockTriple) int {
-	rc := pl.rc
-	cuts := pl.Tiling.Cuts
-	sc := getTwoDScratch(rc.ranks())
+	sc := getTwoDScratch(pl.Tiling.Ranks)
 	defer twoDScratchPool.Put(sc)
-	jLo, jHi := cuts[t.J], cuts[t.J+1]
-	kLo, kHi := cuts[t.K], cuts[t.K+1]
-	n := 0
-	for r := int(cuts[t.I]); r < int(cuts[t.I+1]); r++ {
-		fv := rc.fwd(r)
-		mLo, mHi := rangeOf(fv, jLo, jHi)
-		if mLo == mHi {
-			continue
-		}
-		aLo, aHi := rangeOf(fv, kLo, kHi)
-		for m := mLo; m < mHi; m++ {
-			ru := fv[m]
-			va := fv[aLo:aHi]
-			if t.J == t.K {
-				va = fv[max(m+1, aLo):aHi]
-			}
-			fu := rc.fwd(int(ru))
-			uLo, uHi := rangeOf(fu, kLo, kHi)
-			n += intersectCount(va, fu[uLo:uHi], sc)
-		}
-	}
-	return n
+	return countTriple(pl.Tiling, t, &pl.rc.Fragment, &pl.rc.Fragment, sc)
 }
 
 // Fragment is a contiguous rank-range slice [Lo, Hi) of a rank-permuted
@@ -182,28 +174,6 @@ type Fragment struct {
 	Lo, Hi int32
 	Off    []int32
 	Nbr    []int32
-}
-
-// sliceFragment cuts [lo, hi) out of the CSR with rebased offsets. The
-// source CSR's per-rank (off, end) pairs may leave dedup gaps; the
-// fragment is compacted so its lists are contiguous.
-func sliceFragment(rc rankCSR, lo, hi int32) *Fragment {
-	f := &Fragment{
-		Ranks: rc.ranks(),
-		Lo:    lo,
-		Hi:    hi,
-		Off:   make([]int32, hi-lo+1),
-	}
-	var total int32
-	for r := lo; r < hi; r++ {
-		total += rc.end[r] - rc.off[r]
-	}
-	f.Nbr = make([]int32, 0, total)
-	for r := lo; r < hi; r++ {
-		f.Nbr = append(f.Nbr, rc.fwd(int(r))...)
-		f.Off[r-lo+1] = int32(len(f.Nbr))
-	}
-	return f
 }
 
 // Fwd returns the forward list of the vertex with absolute rank r, which
@@ -348,7 +318,10 @@ func DecodeFragment(data []byte) (*Fragment, error) {
 
 // validate checks the decoded fragment's structural invariants.
 func (f *Fragment) validate() error {
-	if f.Ranks < 0 || f.Lo < 0 || f.Lo > f.Hi || int(f.Hi) > f.Ranks {
+	if f.Ranks < 0 || f.Ranks > MaxRanks {
+		return fmt.Errorf("triangle: fragment rank space %d outside [0, %d]", f.Ranks, MaxRanks)
+	}
+	if f.Lo < 0 || f.Lo > f.Hi || int(f.Hi) > f.Ranks {
 		return fmt.Errorf("triangle: fragment range [%d, %d) outside universe %d", f.Lo, f.Hi, f.Ranks)
 	}
 	if len(f.Off) != int(f.Hi-f.Lo)+1 {
@@ -378,8 +351,8 @@ func (f *Fragment) validate() error {
 // CountFragments executes one block triple's task from the two fragments
 // covering its row blocks: fi must cover block t.I's rank range and fj
 // block t.J's (pass the same fragment twice when t.I == t.J). The count
-// is exactly what countTwoD's task for t computes, so summing over a
-// tiling's Triples reproduces CountParallel2D bit for bit.
+// is exactly what the local 2D count's task for t computes, so summing
+// over a tiling's Triples reproduces Count's total bit for bit.
 func CountFragments(tl Tiling, t BlockTriple, fi, fj *Fragment) (int, error) {
 	if err := tl.Validate(); err != nil {
 		return 0, err
@@ -395,27 +368,7 @@ func CountFragments(tl Tiling, t BlockTriple, fi, fj *Fragment) (int, error) {
 	if fj.Lo != jLo || fj.Hi != jHi || fj.Ranks != tl.Ranks {
 		return 0, fmt.Errorf("triangle: fragment [%d, %d) does not cover block %d = [%d, %d)", fj.Lo, fj.Hi, t.J, jLo, jHi)
 	}
-	kLo, kHi := tl.Block(t.K)
 	sc := getTwoDScratch(tl.Ranks)
 	defer twoDScratchPool.Put(sc)
-	n := 0
-	for r := iLo; r < iHi; r++ {
-		fv := fi.Fwd(r)
-		mLo, mHi := rangeOf(fv, jLo, jHi)
-		if mLo == mHi {
-			continue
-		}
-		aLo, aHi := rangeOf(fv, kLo, kHi)
-		for m := mLo; m < mHi; m++ {
-			ru := fv[m]
-			va := fv[aLo:aHi]
-			if t.J == t.K {
-				va = fv[max(m+1, aLo):aHi]
-			}
-			fu := fj.Fwd(ru)
-			uLo, uHi := rangeOf(fu, kLo, kHi)
-			n += intersectCount(va, fu[uLo:uHi], sc)
-		}
-	}
-	return n, nil
+	return countTriple(tl, t, fi, fj, sc), nil
 }

@@ -1,6 +1,7 @@
 package triangle
 
 import (
+	"hash/fnv"
 	"testing"
 
 	"dexpander/internal/gen"
@@ -101,7 +102,7 @@ func TestFragmentRoundTrip(t *testing.T) {
 // TestCountFragmentsEqualsLocal is the distribution layer's core
 // contract: for every family, seed, and grid dimension, summing
 // CountFragments over the tiling's triples (computed purely from encoded
-// fragments, as a replica would) equals CountParallel2D — and each
+// fragments, as a replica would) equals the local 2D Count — and each
 // triple equals the coordinator-side CountTriple fallback.
 func TestCountFragmentsEqualsLocal(t *testing.T) {
 	cases := []struct {
@@ -116,7 +117,7 @@ func TestCountFragmentsEqualsLocal(t *testing.T) {
 	for _, tc := range cases {
 		for seed := uint64(1); seed <= 3; seed++ {
 			view := graph.WholeGraph(tc.build(seed))
-			want := CountParallel2D(view, 0)
+			want := mustCount(t, view, Options{Kernel: Kernel2D})
 			for _, p := range []int{1, 2, 3, 5} {
 				pl := NewDistPlan(view, p)
 				// Decode through the wire format so the test exercises the
@@ -142,7 +143,7 @@ func TestCountFragmentsEqualsLocal(t *testing.T) {
 					total += n
 				}
 				if total != want {
-					t.Fatalf("%s seed %d p=%d: distributed total %d, CountParallel2D %d",
+					t.Fatalf("%s seed %d p=%d: distributed total %d, local Count %d",
 						tc.name, seed, p, total, want)
 				}
 			}
@@ -165,5 +166,58 @@ func TestCountFragmentsRejectsMismatch(t *testing.T) {
 	}
 	if _, err := CountFragments(pl.Tiling, BlockTriple{0, 1, 3}, f0, f1); err == nil {
 		t.Fatal("triple outside the grid accepted")
+	}
+}
+
+// TestFragmentWireGolden pins the DXFR1 bytes of every fragment of one
+// fixed plan (BA n=2048 m0=8 seed 1, p=4) by the FNV-1a digest of
+// Encode(). The digests were captured when the rank CSR still carried
+// per-rank end offsets with dedup gaps; the contiguous layout must
+// encode to the identical bytes, and so must any later layout change.
+func TestFragmentWireGolden(t *testing.T) {
+	pl := NewDistPlan(graph.WholeGraph(gen.BarabasiAlbert(2048, 8, 1)), 4)
+	wantCuts := []int32{0, 49, 200, 564, 2048}
+	for i, c := range wantCuts {
+		if pl.Tiling.Cuts[i] != c {
+			t.Fatalf("cuts %v, want %v", pl.Tiling.Cuts, wantCuts)
+		}
+	}
+	want := []struct {
+		size   int
+		digest uint64
+	}{
+		{18422, 0xeccc4291d515ed7c},
+		{18426, 0xe573982d8202d3d7},
+		{18382, 0xe663c7631e01fabe},
+		{18410, 0xfe577bc1c9c0c035},
+	}
+	for b, w := range want {
+		data := pl.Fragment(b).Encode()
+		h := fnv.New64a()
+		h.Write(data)
+		if len(data) != w.size || h.Sum64() != w.digest {
+			t.Errorf("block %d: %d bytes digest %#016x, want %d bytes %#016x",
+				b, len(data), h.Sum64(), w.size, w.digest)
+		}
+	}
+}
+
+// TestRankSpaceCap: fragments and tilings declaring a rank space above
+// MaxRanks are rejected before anything is sized by it.
+func TestRankSpaceCap(t *testing.T) {
+	f := &Fragment{Ranks: MaxRanks + 1, Lo: 0, Hi: 0, Off: []int32{0}}
+	if _, err := DecodeFragment(f.Encode()); err == nil {
+		t.Fatal("fragment above MaxRanks decoded")
+	}
+	f.Ranks = MaxRanks
+	if _, err := DecodeFragment(f.Encode()); err != nil {
+		t.Fatalf("fragment at MaxRanks: %v", err)
+	}
+	tl := Tiling{P: 2, Ranks: MaxRanks + 1, Cuts: []int32{0, 0, MaxRanks + 1}}
+	if err := tl.Validate(); err == nil {
+		t.Fatal("tiling above MaxRanks validated")
+	}
+	if _, err := CountFragments(tl, BlockTriple{}, f, f); err == nil {
+		t.Fatal("CountFragments accepted a tiling above MaxRanks")
 	}
 }

@@ -10,9 +10,9 @@ import (
 )
 
 // TestParallelMatchesBruteForce50Seeds is the kernel's ground-truth
-// contract: on 50 random instances spanning several families, the
-// parallel counter returns exactly BruteForce's set for several worker
-// counts, and the count/slice variants agree.
+// contract: on 50 random instances spanning several families, List
+// returns exactly BruteForce's set for several worker counts, and Count
+// agrees on every kernel.
 func TestParallelMatchesBruteForce50Seeds(t *testing.T) {
 	for seed := uint64(1); seed <= 50; seed++ {
 		var g *graph.Graph
@@ -29,17 +29,19 @@ func TestParallelMatchesBruteForce50Seeds(t *testing.T) {
 		view := graph.WholeGraph(g)
 		want := BruteForce(view)
 		for _, workers := range []int{1, 3, runtime.GOMAXPROCS(0)} {
-			got := BruteForceParallel(view, workers)
-			if !got.Equal(want) {
-				t.Fatalf("seed %d workers %d: parallel set differs (got %d, want %d)",
-					seed, workers, got.Len(), want.Len())
+			got := mustList(t, view, Options{Workers: workers})
+			if m, e := verifyAgainstBrute(view, got); m != 0 || e != 0 {
+				t.Fatalf("seed %d workers %d: List misses %d and adds %d triangles",
+					seed, workers, m, e)
 			}
 			if got.Checksum() != want.Checksum() {
 				t.Fatalf("seed %d workers %d: checksum mismatch on equal sets", seed, workers)
 			}
-			if c := CountParallel(view, workers); c != want.Len() {
-				t.Fatalf("seed %d workers %d: CountParallel = %d, want %d",
-					seed, workers, c, want.Len())
+			for _, k := range []Kernel{KernelAuto, KernelRank, Kernel2D} {
+				if c := mustCount(t, view, Options{Workers: workers, Kernel: k}); c != want.Len() {
+					t.Fatalf("seed %d workers %d: Count(%v) = %d, want %d",
+						seed, workers, k, c, want.Len())
+				}
 			}
 		}
 	}
@@ -59,9 +61,9 @@ func TestParallelRespectsView(t *testing.T) {
 	}
 	view := graph.NewSub(g, members, mask)
 	want := BruteForce(view)
-	got := BruteForceParallel(view, 4)
-	if !got.Equal(want) {
-		t.Fatalf("masked view: parallel %d triangles, brute %d", got.Len(), want.Len())
+	got := mustList(t, view, Options{Workers: 4})
+	if m, e := verifyAgainstBrute(view, got); m != 0 || e != 0 {
+		t.Fatalf("masked view: List misses %d and adds %d of brute's %d triangles", m, e, want.Len())
 	}
 }
 
@@ -77,27 +79,27 @@ func TestParallelHandlesMultigraph(t *testing.T) {
 	b.AddEdge(3, 4)
 	view := graph.WholeGraph(b.Graph())
 	want := BruteForce(view)
-	got := BruteForceParallel(view, 2)
+	got := mustList(t, view, Options{Workers: 2})
 	if !got.Equal(want) || got.Len() != 1 {
 		t.Fatalf("multigraph: got %d triangles, want %d (=1)", got.Len(), want.Len())
 	}
 }
 
-// TestParallelDeterministicOrder pins the merge contract: the triangle
-// slice is lexicographically sorted and bit-identical for every worker
-// count.
+// TestParallelDeterministicOrder pins the output contract: the merge
+// oracle emits in strict lexicographic order, and List's sorted set is
+// element-for-element that slice for every worker count.
 func TestParallelDeterministicOrder(t *testing.T) {
 	g := gen.GNP(120, 0.15, 42)
 	view := graph.WholeGraph(g)
-	ref := TrianglesParallel(view, 1)
+	ref := mergeTriangles(view)
 	for i := 1; i < len(ref); i++ {
 		a, b := ref[i-1], ref[i]
 		if a.A > b.A || (a.A == b.A && (a.B > b.B || (a.B == b.B && a.C >= b.C))) {
 			t.Fatalf("output not strictly sorted at %d: %v then %v", i, a, b)
 		}
 	}
-	for _, workers := range []int{2, 5, 8, 64} {
-		got := TrianglesParallel(view, workers)
+	for _, workers := range []int{1, 2, 5, 8, 64} {
+		got := mustList(t, view, Options{Workers: workers}).Sorted()
 		if len(got) != len(ref) {
 			t.Fatalf("workers %d: %d triangles, want %d", workers, len(got), len(ref))
 		}
@@ -110,23 +112,26 @@ func TestParallelDeterministicOrder(t *testing.T) {
 }
 
 func TestParallelEmptyAndTiny(t *testing.T) {
-	if n := CountParallel(graph.WholeGraph(gen.Path(1)), 4); n != 0 {
-		t.Fatalf("single vertex: %d triangles", n)
-	}
-	if n := CountParallel(graph.WholeGraph(gen.Path(2)), 4); n != 0 {
-		t.Fatalf("single edge: %d triangles", n)
-	}
-	if n := CountParallel(graph.WholeGraph(gen.Complete(3)), 4); n != 1 {
-		t.Fatalf("K3: %d triangles, want 1", n)
-	}
 	empty := graph.NewSub(gen.Complete(4), graph.NewVSet(4), nil)
-	if n := CountParallel(empty, 4); n != 0 {
-		t.Fatalf("empty member set: %d triangles", n)
+	for _, k := range []Kernel{KernelRank, Kernel2D} {
+		opt := Options{Workers: 4, Kernel: k}
+		if n := mustCount(t, graph.WholeGraph(gen.Path(1)), opt); n != 0 {
+			t.Fatalf("%v single vertex: %d triangles", k, n)
+		}
+		if n := mustCount(t, graph.WholeGraph(gen.Path(2)), opt); n != 0 {
+			t.Fatalf("%v single edge: %d triangles", k, n)
+		}
+		if n := mustCount(t, graph.WholeGraph(gen.Complete(3)), opt); n != 1 {
+			t.Fatalf("%v K3: %d triangles, want 1", k, n)
+		}
+		if n := mustCount(t, empty, opt); n != 0 {
+			t.Fatalf("%v empty member set: %d triangles", k, n)
+		}
 	}
 }
 
 // TestParallelSpeedup2048 verifies the acceptance bar: on a 2048-node GNP
-// graph with GOMAXPROCS >= 4, the parallel counter is at least 3x faster
+// graph with GOMAXPROCS >= 4, List is at least 3x faster
 // than the sequential map-based kernel while returning the identical set.
 // Timing assertions are inherently environment-sensitive, so the check is
 // skipped in -short runs and under the race detector.
@@ -148,7 +153,7 @@ func TestParallelSpeedup2048(t *testing.T) {
 	seq := time.Since(start)
 
 	start = time.Now()
-	got := BruteForceParallel(view, 0)
+	got := mustList(t, view, Options{})
 	par := time.Since(start)
 
 	if !got.Equal(want) {

@@ -3,53 +3,51 @@ package triangle
 import (
 	"fmt"
 	"slices"
-	"sync"
 
 	"dexpander/internal/graph"
+	"dexpander/internal/obs"
 	"dexpander/internal/par"
 )
 
-// This file implements the skew-proof rank kernel: a degree-descending
-// rank ordering with forward-only adjacency (SNIPPETS snippet 2's
-// compute_rank / forward_adjacency_lists idiom over our CSR). Every
-// vertex keeps only its higher-rank neighbors, strictly sorted by rank,
-// so each wedge is examined exactly once from its lowest-rank endpoint
-// and a hub's adjacency is split across the vertices ranked below it:
-// forward lists are O(sqrt(m)) long on any graph, which kills the
-// O(deg^2) per-hub term the id-ordered merge kernel pays on power-law
-// inputs. Intersections go through the adaptive strategies in
-// intersect.go, with the per-worker stamp array marked once per vertex.
+// This file implements the shared-memory kernel surface: Count and List
+// over one rank-permuted forward CSR, served by the skew-proof rank
+// kernel or (counting only) the 2D block-triple path in twod.go.
+//
+// The rank kernel is a degree-descending rank ordering with forward-only
+// adjacency (SNIPPETS snippet 2's compute_rank / forward_adjacency_lists
+// idiom over our CSR). Every vertex keeps only its higher-rank
+// neighbors, strictly sorted by rank, so each wedge is examined exactly
+// once from its lowest-rank endpoint and a hub's adjacency is split
+// across the vertices ranked below it: forward lists are O(sqrt(m)) long
+// on any graph, which kills the O(deg^2) per-hub term an id-ordered
+// merge kernel pays on power-law inputs. Intersections go through the
+// adaptive strategies in intersect.go, with the per-worker stamp array
+// marked once per vertex.
 //
 // Output contract: the kernel discovers each triangle at its lowest-RANK
 // vertex but emits it as the vertex-sorted (A < B < C by original id)
-// triple, and the public entry points canonicalize the concatenated
-// per-shard slices, so every result is bit-identical to the merge
-// kernel's for any worker count.
+// triple and collects it into a Set, so the result is identical for any
+// worker count and equal to BruteForce's.
 
 // Kernel selects a triangle-kernel implementation. The zero value is
-// KernelAuto, which currently resolves to the rank kernel for
-// enumeration/counting — the fastest choice on both uniform and skewed
-// degree distributions (see BenchmarkTriangleSkewed).
+// KernelAuto, which currently resolves to the rank kernel — the fastest
+// choice on both uniform and skewed degree distributions (see
+// BenchmarkTriangleSkewed).
 type Kernel int
 
 const (
-	// KernelAuto lets the library pick (currently: rank; 2D when asked
-	// to count with a grid explicitly).
+	// KernelAuto lets the library pick (currently: rank).
 	KernelAuto Kernel = iota
-	// KernelMerge is the original id-ordered sorted-CSR merge kernel.
-	KernelMerge
 	// KernelRank is the degree-rank forward-adjacency kernel.
 	KernelRank
 	// Kernel2D is the 2D edge-partitioned counting path (counting only;
-	// enumeration entry points treat it as KernelRank).
+	// List treats it as KernelRank).
 	Kernel2D
 )
 
 // String renders the kernel the way the CLI flags spell it.
 func (k Kernel) String() string {
 	switch k {
-	case KernelMerge:
-		return "merge"
 	case KernelRank:
 		return "rank"
 	case Kernel2D:
@@ -64,47 +62,102 @@ func ParseKernel(s string) (Kernel, error) {
 	switch s {
 	case "", "auto":
 		return KernelAuto, nil
-	case "merge":
-		return KernelMerge, nil
 	case "rank":
 		return KernelRank, nil
 	case "2d":
 		return Kernel2D, nil
 	}
-	return KernelAuto, fmt.Errorf("triangle: unknown kernel %q (want merge, rank, 2d, or auto)", s)
+	return KernelAuto, fmt.Errorf("triangle: unknown kernel %q (want rank, 2d, or auto)", s)
+}
+
+// Count counts the view's triangles with opt.Kernel on opt.Workers
+// goroutines (<= 0 means GOMAXPROCS); it reads no other Options field
+// but Check and Span. Check (nil = never canceled) is probed once per
+// rank on the rank kernel and once per block triple on the 2D path; a
+// canceled count returns Check's error. Span, when non-nil, gets one
+// child per task: a rank shard ("triangle.shard") or a block triple
+// ("triangle.triple"). The total is identical for every kernel, worker
+// count, and GOMAXPROCS.
+func Count(view *graph.Sub, opt Options) (int, error) {
+	workers := par.Workers(opt.Workers)
+	rc := buildRankCSR(view)
+	if opt.Kernel == Kernel2D {
+		return newDistPlan(rc, twoDGrid(workers, rc.Ranks)).count(workers, opt.Check, opt.Span)
+	}
+	shards, err := rankTriangles(rc, workers, opt.Check, opt.Span)
+	if err != nil {
+		return 0, err
+	}
+	total := 0
+	for _, s := range shards {
+		total += len(s)
+	}
+	return total, nil
+}
+
+// List collects the view's triangles into a Set with the rank kernel
+// (every Kernel value enumerates through it); Workers, Check, and Span
+// act as in Count.
+func List(view *graph.Sub, opt Options) (*Set, error) {
+	shards, err := rankTriangles(buildRankCSR(view), par.Workers(opt.Workers), opt.Check, opt.Span)
+	if err != nil {
+		return nil, err
+	}
+	n := 0
+	for _, s := range shards {
+		n += len(s)
+	}
+	out := newSetSized(n)
+	for _, shard := range shards {
+		for _, t := range shard {
+			out.Add(t)
+		}
+	}
+	return out, nil
+}
+
+// SetKernel is List without cancellation or tracing.
+func SetKernel(view *graph.Sub, workers int, k Kernel) *Set {
+	set, _ := List(view, Options{Workers: workers, Kernel: k})
+	return set
+}
+
+// CountKernel is Count without cancellation or tracing.
+func CountKernel(view *graph.Sub, workers int, k Kernel) int {
+	n, _ := Count(view, Options{Workers: workers, Kernel: k})
+	return n
+}
+
+// CountParallel2D is CountKernel on the 2D block-triple path.
+func CountParallel2D(view *graph.Sub, workers int) int {
+	return CountKernel(view, workers, Kernel2D)
 }
 
 // rankCSR is the rank-permuted forward adjacency: order maps rank ->
-// base vertex id (usable-degree descending, ties by ascending id, so
-// the permutation is deterministic), and nbr[off[r]:end[r]] is the
-// strictly-ascending deduped list of forward neighbor RANKS of the
-// vertex with rank r. Non-member vertices carry degree 0 and sink to
-// the bottom of the order with empty lists.
+// base vertex id (usable-degree descending, ties by ascending id, so the
+// permutation is deterministic), and the embedded Fragment over [0, R)
+// holds, for the vertex with rank r, the strictly-ascending deduped list
+// of forward neighbor RANKS at Fwd(r). Non-member vertices carry degree
+// 0 and sink to the bottom of the order with empty lists. Because the
+// whole CSR has the DXFR1 fragment layout, a block's fragment is a
+// re-based slice of it and every counting path shares one loop.
 //
 // The degree-descending permutation is a performance heuristic, not a
-// correctness requirement: the public entry points canonicalize the
-// output, so ANY deterministic permutation yields identical results —
-// which is why the raw (parallel-edge-counting) usable degree is good
-// enough and no deduped CSR has to exist first.
+// correctness requirement: outputs are collected into sets or summed,
+// so ANY deterministic permutation yields identical results — which is
+// why the raw (parallel-edge-counting) usable degree is good enough and
+// no deduped CSR has to exist first.
 type rankCSR struct {
 	order []int32
-	off   []int32
-	end   []int32
-	nbr   []int32
+	Fragment
 }
-
-// fwd returns the forward list of the vertex with rank r.
-func (rc rankCSR) fwd(r int) []int32 { return rc.nbr[rc.off[r]:rc.end[r]] }
-
-// ranks returns the size of the rank space.
-func (rc rankCSR) ranks() int { return len(rc.order) }
 
 // buildRankCSR derives the rank permutation and forward CSR straight
 // from the view's edge list in O(n + m + sort(forward lists)): a
 // counting sort over degrees replaces a comparator sort of the vertex
 // set, forward edges scatter directly from the edge list (no full
 // symmetric CSR is ever built), and only the short forward lists — max
-// length O(sqrt(m)) — get sorted and deduped.
+// length O(sqrt(m)) — get sorted, deduped, and compacted in place.
 func buildRankCSR(view *graph.Sub) rankCSR {
 	g := view.Base()
 	n := g.N()
@@ -152,11 +205,7 @@ func buildRankCSR(view *graph.Sub) rankCSR {
 			continue
 		}
 		u, v := g.EdgeEndpoints(e)
-		lo := rank[u]
-		if rank[v] < lo {
-			lo = rank[v]
-		}
-		counts[lo]++
+		counts[min(rank[u], rank[v])]++
 	}
 	off := make([]int32, n+1)
 	for r := 0; r < n; r++ {
@@ -179,22 +228,29 @@ func buildRankCSR(view *graph.Sub) rankCSR {
 		nbr[off[lo]+fill[lo]] = hi
 		fill[lo]++
 	}
-	end := make([]int32, n)
+	// Sort each list, collapse parallel edges, and compact the lists
+	// toward the front so they end up contiguous. w never passes the
+	// read position, and off[r+1] is read before off[r] is rewritten.
+	w := int32(0)
+	start := int32(0)
 	for r := 0; r < n; r++ {
-		seg := nbr[off[r] : off[r]+fill[r]]
+		seg := nbr[start:off[r+1]]
+		start = off[r+1]
 		slices.Sort(seg)
-		// Collapse parallel edges in place, exactly like buildCSR.
-		w := int32(0)
-		for i := range seg {
-			if i > 0 && seg[i] == seg[i-1] {
+		off[r] = w
+		for _, x := range seg {
+			if w > off[r] && nbr[w-1] == x {
 				continue
 			}
-			seg[w] = seg[i]
+			nbr[w] = x
 			w++
 		}
-		end[r] = off[r] + w
 	}
-	return rankCSR{order: order, off: off, end: end, nbr: nbr}
+	off[n] = w
+	return rankCSR{
+		order:    order,
+		Fragment: Fragment{Ranks: n, Lo: 0, Hi: int32(n), Off: off, Nbr: nbr[:w:w]},
+	}
 }
 
 // shardRanks splits the rank space [0, R) into at most `workers`
@@ -203,23 +259,18 @@ func buildRankCSR(view *graph.Sub) rankCSR {
 // Forward lists are O(sqrt(m)) long, so unlike raw degrees this estimate
 // cannot be dominated by one hub.
 func shardRanks(rc rankCSR, workers int) [][2]int {
-	r := rc.ranks()
+	r := rc.Ranks
 	if r == 0 {
 		return nil
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > r {
-		workers = r
-	}
+	workers = min(max(workers, 1), r)
 	cost := make([]int64, r)
 	var total int64
 	for v := 0; v < r; v++ {
-		fv := rc.fwd(v)
+		fv := rc.Fwd(int32(v))
 		c := int64(len(fv)) + 1
 		for _, u := range fv {
-			c += int64(len(rc.fwd(int(u)))) + 1
+			c += int64(len(rc.Fwd(u))) + 1
 		}
 		cost[v] = c
 		total += c
@@ -242,130 +293,53 @@ func shardRanks(rc rankCSR, workers int) [][2]int {
 	return shards
 }
 
-// forEachTriangleRank enumerates every triangle once from its
-// lowest-rank vertex, sharded by rank range across workers. Shard
-// contents are deterministic (the rank permutation and shard boundaries
-// depend only on the view and worker count), but unlike the merge
-// kernel the concatenation is NOT globally sorted by vertex id — the
-// public entry points canonicalize. cp (nil = never canceled) is probed
-// once per rank; on cancellation every shard stops within one vertex's
-// intersections and the first probe error is returned.
-func forEachTriangleRank(view *graph.Sub, workers int, cp par.Checkpoint) ([][]Triangle, error) {
-	rc := buildRankCSR(view)
-	shards := shardRanks(rc, resolveWorkers(workers))
+// rankTriangles enumerates every triangle once from its lowest-rank
+// vertex, one par task per rank shard. Shard contents are deterministic
+// (the rank permutation and shard boundaries depend only on the view and
+// worker count). cp (nil = never canceled) is probed once per rank; on
+// cancellation every shard stops within one vertex's intersections and
+// the first probe error is returned.
+func rankTriangles(rc rankCSR, workers int, cp par.Checkpoint, sp *obs.Span) ([][]Triangle, error) {
+	shards := shardRanks(rc, workers)
 	out := make([][]Triangle, len(shards))
 	errs := make([]error, len(shards))
-	var wg sync.WaitGroup
-	for si, shard := range shards {
-		wg.Add(1)
-		go func(si int, lo, hi int) {
-			defer wg.Done()
-			sc := newIntersectScratch(rc.ranks())
-			var buf []int32
-			var local []Triangle
-			for r := lo; r < hi; r++ {
-				if cp != nil {
-					if err := cp(); err != nil {
-						errs[si] = err
-						return
-					}
-				}
-				fv := rc.fwd(r)
-				if len(fv) < 2 {
-					continue
-				}
-				// One markAll serves every pair (r, u): the probes see the
-				// full fv, which intersects each fwd(u) exactly like the
-				// above-u suffix does (every common rank exceeds u's).
-				sc.markAll(fv)
-				a := int(rc.order[r])
-				for i := 0; i+1 < len(fv); i++ {
-					ru := fv[i]
-					buf = intersectAdaptive(fv[i+1:], rc.fwd(int(ru)), sc, true, buf[:0])
-					b := int(rc.order[ru])
-					for _, rw := range buf {
-						local = append(local, MakeTriangle(a, b, int(rc.order[rw])))
-					}
+	err := par.ForEach(len(shards), len(shards), cp, sp, "triangle.shard", func(si int) {
+		sc := newIntersectScratch(rc.Ranks)
+		var buf []int32
+		var local []Triangle
+		for r := shards[si][0]; r < shards[si][1]; r++ {
+			if cp != nil {
+				if errs[si] = cp(); errs[si] != nil {
+					return
 				}
 			}
-			out[si] = local
-		}(si, shard[0], shard[1])
+			fv := rc.Fwd(int32(r))
+			if len(fv) < 2 {
+				continue
+			}
+			// One markAll serves every pair (r, u): the probes see the
+			// full fv, which intersects each fwd(u) exactly like the
+			// above-u suffix does (every common rank exceeds u's).
+			sc.markAll(fv)
+			a := int(rc.order[r])
+			for i := 0; i+1 < len(fv); i++ {
+				ru := fv[i]
+				buf = intersectAdaptive(fv[i+1:], rc.Fwd(ru), sc, true, buf[:0])
+				b := int(rc.order[ru])
+				for _, rw := range buf {
+					local = append(local, MakeTriangle(a, b, int(rc.order[rw])))
+				}
+			}
+		}
+		out[si] = local
+	})
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
 	}
 	return out, nil
-}
-
-// TrianglesKernel returns every triangle of the view in lexicographic
-// order, computed by the selected kernel; results are bit-identical
-// across kernels and worker counts. Kernel2D has no enumeration path and
-// resolves to the rank kernel here.
-func TrianglesKernel(view *graph.Sub, workers int, k Kernel) []Triangle {
-	if k == KernelMerge {
-		shards, _ := forEachTriangleParallel(view, workers, nil)
-		return concatShards(shards)
-	}
-	shards, _ := forEachTriangleRank(view, workers, nil)
-	out := concatShards(shards)
-	// Rank shards cover rank ranges, not id ranges: restore the global
-	// lexicographic order the merge kernel produces natively.
-	slices.SortFunc(out, func(a, b Triangle) int {
-		switch {
-		case a.Key() < b.Key():
-			return -1
-		case a.Key() > b.Key():
-			return 1
-		}
-		return 0
-	})
-	return out
-}
-
-// CountKernel counts the view's triangles with the selected kernel.
-func CountKernel(view *graph.Sub, workers int, k Kernel) int {
-	n, _ := CountKernelCheck(view, workers, k, nil)
-	return n
-}
-
-// CountKernelCheck is CountKernel with a cooperative-cancellation probe
-// (per shard vertex for merge/rank, per block triple for 2D); a canceled
-// count returns cp's error, an uncanceled one exactly CountKernel's
-// total.
-func CountKernelCheck(view *graph.Sub, workers int, k Kernel, cp par.Checkpoint) (int, error) {
-	switch k {
-	case KernelMerge:
-		shards, err := forEachTriangleParallel(view, workers, cp)
-		if err != nil {
-			return 0, err
-		}
-		return countShards(shards), nil
-	case Kernel2D:
-		return CountParallel2DCheck(view, workers, cp)
-	default:
-		shards, err := forEachTriangleRank(view, workers, cp)
-		if err != nil {
-			return 0, err
-		}
-		return countShards(shards), nil
-	}
-}
-
-func concatShards(shards [][]Triangle) []Triangle {
-	out := make([]Triangle, 0, countShards(shards))
-	for _, s := range shards {
-		out = append(out, s...)
-	}
-	return out
-}
-
-func countShards(shards [][]Triangle) int {
-	total := 0
-	for _, s := range shards {
-		total += len(s)
-	}
-	return total
 }

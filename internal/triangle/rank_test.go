@@ -26,11 +26,11 @@ func kernelFamilies() map[string]func(seed uint64) *graph.Graph {
 	}
 }
 
-// TestRankKernelBitIdenticalAllFamilies pins the tentpole contract: for
-// every family, seed, and worker count, the rank kernel's triangle slice
-// is element-for-element identical to the merge kernel's (which the
-// existing tests pin against BruteForce), and the 2D counting path
-// returns the same count.
+// TestRankKernelBitIdenticalAllFamilies pins the kernel contract: for
+// every family, seed, and worker count, List's sorted triangle set is
+// element-for-element identical to the merge oracle's slice (itself
+// checked against BruteForce), and the 2D counting path returns the
+// same count.
 func TestRankKernelBitIdenticalAllFamilies(t *testing.T) {
 	workerCounts := []int{1, 2, 3, 13, runtime.GOMAXPROCS(0)}
 	for name, build := range kernelFamilies() {
@@ -38,12 +38,13 @@ func TestRankKernelBitIdenticalAllFamilies(t *testing.T) {
 			for seed := uint64(1); seed <= 6; seed++ {
 				view := graph.WholeGraph(build(seed))
 				want := BruteForce(view)
-				ref := TrianglesKernel(view, 1, KernelMerge)
+				ref := mergeTriangles(view)
 				if len(ref) != want.Len() {
 					t.Fatalf("seed %d: merge %d triangles, brute %d", seed, len(ref), want.Len())
 				}
 				for _, workers := range workerCounts {
-					got := TrianglesKernel(view, workers, KernelRank)
+					set := mustList(t, view, Options{Workers: workers, Kernel: KernelRank})
+					got := set.Sorted()
 					if len(got) != len(ref) {
 						t.Fatalf("seed %d workers %d: rank %d triangles, merge %d",
 							seed, workers, len(got), len(ref))
@@ -54,10 +55,10 @@ func TestRankKernelBitIdenticalAllFamilies(t *testing.T) {
 								seed, workers, i, got[i], ref[i])
 						}
 					}
-					if c := CountKernel(view, workers, Kernel2D); c != len(ref) {
+					if c := mustCount(t, view, Options{Workers: workers, Kernel: Kernel2D}); c != len(ref) {
 						t.Fatalf("seed %d workers %d: 2D count %d, want %d", seed, workers, c, len(ref))
 					}
-					if set := SetKernel(view, workers, KernelRank); !set.Equal(want) {
+					if !set.Equal(want) {
 						t.Fatalf("seed %d workers %d: rank set differs from brute", seed, workers)
 					}
 				}
@@ -84,8 +85,8 @@ func TestRankKernelRestrictedViews(t *testing.T) {
 		}
 		view := graph.NewSub(g, members, mask)
 		want := BruteForce(view)
-		ref := TrianglesKernel(view, 3, KernelMerge)
-		got := TrianglesKernel(view, 3, KernelRank)
+		ref := mergeTriangles(view)
+		got := mustList(t, view, Options{Workers: 3}).Sorted()
 		if len(got) != len(ref) || len(got) != want.Len() {
 			t.Fatalf("seed %d: rank %d, merge %d, brute %d", seed, len(got), len(ref), want.Len())
 		}
@@ -94,7 +95,7 @@ func TestRankKernelRestrictedViews(t *testing.T) {
 				t.Fatalf("seed %d: triangle %d is %v, want %v", seed, i, got[i], ref[i])
 			}
 		}
-		if c := CountParallel2D(view, 0); c != want.Len() {
+		if c := mustCount(t, view, Options{Kernel: Kernel2D}); c != want.Len() {
 			t.Fatalf("seed %d: 2D count %d, want %d", seed, c, want.Len())
 		}
 	}
@@ -106,13 +107,13 @@ func TestRankKernelRestrictedViews(t *testing.T) {
 func TestRankKernelGOMAXPROCSSweep(t *testing.T) {
 	g := gen.BarabasiAlbert(120, 6, 3)
 	view := graph.WholeGraph(g)
-	ref := TrianglesKernel(view, 1, KernelRank)
-	ref2d := CountKernel(view, 1, Kernel2D)
+	ref := mustList(t, view, Options{Workers: 1}).Sorted()
+	ref2d := mustCount(t, view, Options{Workers: 1, Kernel: Kernel2D})
 	old := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(old)
 	for _, procs := range []int{1, 2, 3, 7} {
 		runtime.GOMAXPROCS(procs)
-		got := TrianglesKernel(view, 0, KernelRank)
+		got := mustList(t, view, Options{}).Sorted()
 		if len(got) != len(ref) {
 			t.Fatalf("GOMAXPROCS %d: %d triangles, want %d", procs, len(got), len(ref))
 		}
@@ -121,8 +122,41 @@ func TestRankKernelGOMAXPROCSSweep(t *testing.T) {
 				t.Fatalf("GOMAXPROCS %d: triangle %d is %v, want %v", procs, i, got[i], ref[i])
 			}
 		}
-		if c := CountKernel(view, 0, Kernel2D); c != ref2d {
+		if c := mustCount(t, view, Options{Kernel: Kernel2D}); c != ref2d {
 			t.Fatalf("GOMAXPROCS %d: 2D count %d, want %d", procs, c, ref2d)
+		}
+	}
+}
+
+// TestMergeOracleMatchesListSkewed carries the cross-check the bench
+// matrix's enumerate-merge cells used to make: on the four skewed
+// scenarios of the short matrix (BA n=512/2048 m0=8, Chung-Lu
+// gamma=2.1 n=512 avg 12 / n=2048 avg 16, seed 1) the merge oracle's
+// full-set checksum equals List's for every worker count, and both equal
+// the checksums those cells pinned.
+func TestMergeOracleMatchesListSkewed(t *testing.T) {
+	cases := []struct {
+		name string
+		g    *graph.Graph
+		sum  uint64
+	}{
+		{"ba-512", gen.BarabasiAlbert(512, 8, 1), 0xbe200947555f6e94},
+		{"ba-2048", gen.BarabasiAlbert(2048, 8, 1), 0x1d3488ea18e0f580},
+		{"chung-lu-512", gen.ChungLu(512, 2.1, 12, 1), 0xc91ffaee023d819b},
+		{"chung-lu-2048", gen.ChungLu(2048, 2.1, 16, 1), 0xbaf2a6dbd02ed17e},
+	}
+	for _, tc := range cases {
+		view := graph.WholeGraph(tc.g)
+		oracle := mergeSet(view)
+		if got := oracle.Checksum(); got != tc.sum {
+			t.Fatalf("%s: merge oracle checksum %#016x, pinned %#016x", tc.name, got, tc.sum)
+		}
+		for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0)} {
+			got := mustList(t, view, Options{Workers: workers})
+			if got.Len() != oracle.Len() || got.Checksum() != oracle.Checksum() {
+				t.Fatalf("%s workers %d: List %d/%#016x, merge oracle %d/%#016x", tc.name, workers,
+					got.Len(), got.Checksum(), oracle.Len(), oracle.Checksum())
+			}
 		}
 	}
 }
@@ -134,9 +168,9 @@ func Test2DGridSweep(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
 		g := gen.ChungLu(100, 2.1, 10, seed)
 		view := graph.WholeGraph(g)
-		want := CountKernel(view, 2, KernelMerge)
+		want := len(mergeTriangles(view))
 		for _, p := range []int{1, 2, 3, 5, 8, 31} {
-			if c := CountParallel2DGrid(view, 3, p); c != want {
+			if c := gridCount(view, p); c != want {
 				t.Fatalf("seed %d p=%d: count %d, want %d", seed, p, c, want)
 			}
 		}
@@ -156,10 +190,10 @@ func TestRankKernelMultigraph(t *testing.T) {
 	b.AddEdge(4, 5)
 	b.AddEdge(3, 5)
 	view := graph.WholeGraph(b.Graph())
-	if got := TrianglesKernel(view, 2, KernelRank); len(got) != 2 {
-		t.Fatalf("multigraph: rank found %d triangles, want 2", len(got))
+	if got := mustList(t, view, Options{Workers: 2}); got.Len() != 2 {
+		t.Fatalf("multigraph: rank found %d triangles, want 2", got.Len())
 	}
-	if c := CountParallel2D(view, 2); c != 2 {
+	if c := mustCount(t, view, Options{Workers: 2, Kernel: Kernel2D}); c != 2 {
 		t.Fatalf("multigraph: 2D count %d, want 2", c)
 	}
 }
@@ -168,19 +202,19 @@ func TestKernelParse(t *testing.T) {
 	for _, c := range []struct {
 		in   string
 		want Kernel
-	}{{"", KernelAuto}, {"auto", KernelAuto}, {"merge", KernelMerge}, {"rank", KernelRank}, {"2d", Kernel2D}} {
+	}{{"", KernelAuto}, {"auto", KernelAuto}, {"rank", KernelRank}, {"2d", Kernel2D}} {
 		k, err := ParseKernel(c.in)
 		if err != nil || k != c.want {
 			t.Fatalf("ParseKernel(%q) = %v, %v", c.in, k, err)
 		}
 	}
-	if _, err := ParseKernel("quantum"); err == nil {
-		t.Fatal("ParseKernel accepted an unknown kernel")
-	}
-	for _, k := range []Kernel{KernelAuto, KernelMerge, KernelRank, Kernel2D} {
-		if k == KernelAuto {
-			continue
+	// "merge" names the retired merge kernel, now a test-only oracle.
+	for _, bad := range []string{"quantum", "merge"} {
+		if _, err := ParseKernel(bad); err == nil {
+			t.Fatalf("ParseKernel accepted unknown kernel %q", bad)
 		}
+	}
+	for _, k := range []Kernel{KernelRank, Kernel2D} {
 		back, err := ParseKernel(k.String())
 		if err != nil || back != k {
 			t.Fatalf("round trip %v -> %q -> %v, %v", k, k.String(), back, err)
@@ -190,8 +224,9 @@ func TestKernelParse(t *testing.T) {
 
 // TestRankSkewedSpeedup is the acceptance check behind
 // BenchmarkTriangleSkewed at test scale: on a preferential-attachment
-// graph the rank kernel must beat the merge kernel single-threaded by
-// 2x. Skipped in -short and under the race detector like every timing
+// graph the rank kernel (Count, which emits every triangle like the
+// oracle does) must beat the merge oracle single-threaded by 2x.
+// Skipped in -short and under the race detector like every timing
 // assertion.
 func TestRankSkewedSpeedup(t *testing.T) {
 	if testing.Short() {
@@ -204,15 +239,15 @@ func TestRankSkewedSpeedup(t *testing.T) {
 	view := graph.WholeGraph(g)
 
 	start := time.Now()
-	ref := TrianglesKernel(view, 1, KernelMerge)
+	ref := mergeTriangles(view)
 	merge := time.Since(start)
 
 	start = time.Now()
-	got := TrianglesKernel(view, 1, KernelRank)
+	got := mustCount(t, view, Options{Workers: 1, Kernel: KernelRank})
 	rank := time.Since(start)
 
-	if len(got) != len(ref) {
-		t.Fatalf("rank %d triangles, merge %d", len(got), len(ref))
+	if got != len(ref) {
+		t.Fatalf("rank %d triangles, merge %d", got, len(ref))
 	}
 	speedup := float64(merge) / float64(rank)
 	t.Logf("BA n=%d m=%d triangles=%d merge=%v rank=%v speedup=%.1fx",

@@ -55,10 +55,10 @@ func BenchmarkIntersectionStrategies(b *testing.B) {
 
 // BenchmarkTriangleSkewed is the acceptance benchmark for the skew-proof
 // kernels: a preferential-attachment hub graph (BA n=2^16, m0=8) where
-// the id-ordered merge kernel pays the O(deg^2) hub term. The rank
+// the id-ordered merge oracle pays the O(deg^2) hub term. The rank
 // kernel must beat merge by >= 2x at workers=1 (also asserted by
-// TestRankSkewedSpeedup); the parallel and 2D cells show the same gap
-// survives sharding.
+// TestRankSkewedSpeedup); the parallel and 2D cells show how both
+// production paths scale with workers.
 func BenchmarkTriangleSkewed(b *testing.B) {
 	g := gen.BarabasiAlbert(1<<16, 8, 7)
 	view := graph.WholeGraph(g)
@@ -66,12 +66,11 @@ func BenchmarkTriangleSkewed(b *testing.B) {
 		name string
 		run  func()
 	}{
-		{"merge-1", func() { TrianglesKernel(view, 1, KernelMerge) }},
-		{"rank-1", func() { TrianglesKernel(view, 1, KernelRank) }},
-		{"merge-par", func() { TrianglesKernel(view, 0, KernelMerge) }},
-		{"rank-par", func() { TrianglesKernel(view, 0, KernelRank) }},
-		{"count-2d-1", func() { CountParallel2D(view, 1) }},
-		{"count-2d-par", func() { CountParallel2D(view, 0) }},
+		{"merge-1", func() { mergeTriangles(view) }},
+		{"rank-1", func() { Count(view, Options{Workers: 1, Kernel: KernelRank}) }},
+		{"rank-par", func() { Count(view, Options{Kernel: KernelRank}) }},
+		{"count-2d-1", func() { Count(view, Options{Workers: 1, Kernel: Kernel2D}) }},
+		{"count-2d-par", func() { Count(view, Options{Kernel: Kernel2D}) }},
 	}
 	for _, k := range kernels {
 		b.Run(k.name, func(b *testing.B) {

@@ -53,7 +53,7 @@ func TestBruteForceKnownCounts(t *testing.T) {
 		{"K3", gen.Complete(3), 1},
 	}
 	for _, tc := range cases {
-		if got := Count(graph.WholeGraph(tc.g)); got != tc.want {
+		if got := BruteForce(graph.WholeGraph(tc.g)).Len(); got != tc.want {
 			t.Errorf("%s: count = %d, want %d", tc.name, got, tc.want)
 		}
 	}
@@ -258,38 +258,49 @@ func TestEnumerateDeterministic(t *testing.T) {
 	}
 }
 
+// TestDetect: detection is enumeration's emptiness test (Theorem 2
+// gives it for free), so Enumerate must find nothing in a cycle and
+// something in K5.
 func TestDetect(t *testing.T) {
 	free := gen.Cycle(12) // triangle-free
-	got, _, err := Detect(graph.WholeGraph(free), Options{Seed: 1})
+	got, _, err := Enumerate(graph.WholeGraph(free), Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got {
+	if got.Len() != 0 {
 		t.Fatal("detected a triangle in a cycle")
 	}
 	has := gen.Complete(5)
-	got, _, err = Detect(graph.WholeGraph(has), Options{Seed: 1})
+	got, _, err = Enumerate(graph.WholeGraph(has), Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got {
+	if got.Len() == 0 {
 		t.Fatal("missed triangles in K5")
 	}
 }
 
+// TestCountDistributedAndLocalCounts: the distributed count (the size of
+// Enumerate's set) and the per-vertex triangle counts derived from it
+// match K5's closed forms.
 func TestCountDistributedAndLocalCounts(t *testing.T) {
 	g := gen.Complete(5)
 	view := graph.WholeGraph(g)
-	cnt, _, err := CountDistributed(view, Options{Seed: 2})
+	set, _, err := Enumerate(view, Options{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cnt != 10 {
-		t.Fatalf("count = %d, want 10", cnt)
+	if set.Len() != 10 {
+		t.Fatalf("count = %d, want 10", set.Len())
 	}
 	// In K5 every vertex lies in C(4,2) = 6 triangles.
-	set := BruteForce(view)
-	for v, c := range LocalCounts(5, set) {
+	local := make([]int, 5)
+	for _, tr := range set.Sorted() {
+		local[tr.A]++
+		local[tr.B]++
+		local[tr.C]++
+	}
+	for v, c := range local {
 		if c != 6 {
 			t.Fatalf("local count of %d = %d, want 6", v, c)
 		}
@@ -300,7 +311,7 @@ func TestVerifyAgainstBrute(t *testing.T) {
 	g := gen.Complete(4)
 	view := graph.WholeGraph(g)
 	got := BruteForce(view)
-	if m, e := VerifyAgainstBrute(view, got); m != 0 || e != 0 {
+	if m, e := verifyAgainstBrute(view, got); m != 0 || e != 0 {
 		t.Fatalf("self-comparison: missing=%d extra=%d", m, e)
 	}
 	// Remove one and add a bogus one.
@@ -311,19 +322,21 @@ func TestVerifyAgainstBrute(t *testing.T) {
 		}
 	}
 	partial.Add(Triangle{A: 90, B: 91, C: 92})
-	if m, e := VerifyAgainstBrute(view, partial); m != 1 || e != 1 {
+	if m, e := verifyAgainstBrute(view, partial); m != 1 || e != 1 {
 		t.Fatalf("missing=%d extra=%d, want 1,1", m, e)
 	}
 }
 
+// TestNaiveDetect: detection on the naive baseline is its set's
+// emptiness test.
 func TestNaiveDetect(t *testing.T) {
-	got, _, err := NaiveDetect(graph.WholeGraph(gen.Cycle(8)), 1)
-	if err != nil || got {
-		t.Fatalf("NaiveDetect on cycle: %v %v", got, err)
+	got, _, err := Naive(graph.WholeGraph(gen.Cycle(8)), 1)
+	if err != nil || got.Len() != 0 {
+		t.Fatalf("Naive on cycle: %v %v", got, err)
 	}
-	got, _, err = NaiveDetect(graph.WholeGraph(gen.Complete(4)), 1)
-	if err != nil || !got {
-		t.Fatalf("NaiveDetect on K4: %v %v", got, err)
+	got, _, err = Naive(graph.WholeGraph(gen.Complete(4)), 1)
+	if err != nil || got.Len() == 0 {
+		t.Fatalf("Naive on K4: %v %v", got, err)
 	}
 }
 

@@ -3,7 +3,6 @@ package triangle
 import (
 	"sync"
 
-	"dexpander/internal/graph"
 	"dexpander/internal/obs"
 	"dexpander/internal/par"
 )
@@ -19,7 +18,9 @@ import (
 // order, so the total is deterministic for any worker count — and since
 // each task only touches two rank ranges of the forward CSR, the same
 // tiling is the seam for fanning counting out across dexpanderd
-// replicas, where a block pair is a shippable unit of work.
+// replicas (dist.go), where a block pair is a shippable unit of work.
+// countTriple is the one task body every path runs: the local count,
+// DistPlan.CountTriple, and a replica's CountFragments.
 
 // twoDScratchPool recycles the per-task stamp arrays; tasks are coarse,
 // so pool churn is negligible next to the intersection work.
@@ -49,66 +50,26 @@ func twoDGrid(workers, ranks int) int {
 	return p
 }
 
-// CountParallel2D counts the view's triangles on the 2D edge-partitioned
-// path with an automatically sized block grid; workers <= 0 means
-// GOMAXPROCS. The count always equals CountParallel's.
-func CountParallel2D(view *graph.Sub, workers int) int {
-	n, _ := CountParallel2DCheck(view, workers, nil)
-	return n
-}
-
-// CountParallel2DCheck is CountParallel2D with a cooperative-
-// cancellation probe consulted at block-triple granularity: once cp
-// errors, no further block tasks start and that error is returned. An
-// uncanceled run returns exactly CountParallel2D's count.
-func CountParallel2DCheck(view *graph.Sub, workers int, cp par.Checkpoint) (int, error) {
-	return CountParallel2DSpan(view, workers, cp, nil)
-}
-
-// CountParallel2DSpan is CountParallel2DCheck with per-block-triple
-// tracing: when sp is non-nil each block-triple task runs under a
-// child span carrying the (i, j, k) block coordinates. A nil sp adds
-// one pointer test to the whole call; counts are identical either way.
-func CountParallel2DSpan(view *graph.Sub, workers int, cp par.Checkpoint, sp *obs.Span) (int, error) {
-	w := resolveWorkers(workers)
-	rc := buildRankCSR(view)
-	return countTwoD(rc, w, twoDGrid(w, rc.ranks()), cp, sp)
-}
-
-// CountParallel2DGrid is CountParallel2D with an explicit p x p tiling,
-// for tests and benchmarks that sweep the grid dimension.
-func CountParallel2DGrid(view *graph.Sub, workers, p int) int {
-	rc := buildRankCSR(view)
-	if p < 1 {
-		p = 1
-	}
-	if p > rc.ranks() && rc.ranks() > 0 {
-		p = rc.ranks()
-	}
-	n, _ := countTwoD(rc, resolveWorkers(workers), p, nil, nil)
-	return n
-}
-
 // rankCuts splits [0, ranks) into p contiguous ranges balanced by
 // forward-list volume (the quantity intersections actually touch), not
 // vertex count: rank 0 is the heaviest hub, and volume balancing keeps
 // its block from dominating a row of the grid.
 func rankCuts(rc rankCSR, p int) []int32 {
 	cuts := make([]int32, p+1)
-	total := int64(len(rc.nbr)) + int64(rc.ranks())
+	total := int64(len(rc.Nbr)) + int64(rc.Ranks)
 	var acc int64
 	b := 1
-	for r := 0; r < rc.ranks() && b < p; r++ {
-		acc += int64(len(rc.fwd(r))) + 1
+	for r := 0; r < rc.Ranks && b < p; r++ {
+		acc += int64(len(rc.Fwd(int32(r)))) + 1
 		if acc >= total*int64(b)/int64(p) {
 			cuts[b] = int32(r + 1)
 			b++
 		}
 	}
 	for ; b < p; b++ {
-		cuts[b] = int32(rc.ranks())
+		cuts[b] = int32(rc.Ranks)
 	}
-	cuts[p] = int32(rc.ranks())
+	cuts[p] = int32(rc.Ranks)
 	return cuts
 }
 
@@ -132,68 +93,60 @@ func lowerBound(s []int32, x int32) int {
 	return lo
 }
 
-// countTwoD runs the block-triple tasks on the internal/par pool and
-// reduces the private accumulators in task order. cp is probed before
-// each block triple starts (nil = never canceled); sp, when non-nil,
-// gets one child span per block triple.
-func countTwoD(rc rankCSR, workers, p int, cp par.Checkpoint, sp *obs.Span) (int, error) {
-	if rc.ranks() == 0 {
-		return 0, nil
-	}
-	cuts := rankCuts(rc, p)
-	type task struct{ i, j, k int }
-	tasks := make([]task, 0, p*(p+1)*(p+2)/6)
-	for i := 0; i < p; i++ {
-		for j := i; j < p; j++ {
-			for k := j; k < p; k++ {
-				tasks = append(tasks, task{i, j, k})
+// countTriple counts block triple t of tiling tl: fi must hold the
+// forward lists of block t.I's ranks and fj those of block t.J's (the
+// same fragment twice, or the whole CSR for both, is fine). sc is a
+// stamp scratch over at least tl.Ranks.
+func countTriple(tl Tiling, t BlockTriple, fi, fj *Fragment, sc *intersectScratch) int {
+	iLo, iHi := tl.Block(t.I)
+	jLo, jHi := tl.Block(t.J)
+	kLo, kHi := tl.Block(t.K)
+	n := 0
+	for r := iLo; r < iHi; r++ {
+		fv := fi.Fwd(r)
+		// Middle vertices: forward neighbors of r inside block j.
+		mLo, mHi := rangeOf(fv, jLo, jHi)
+		if mLo == mHi {
+			continue
+		}
+		// Apexes live in block k; slice v's forward list down to it
+		// once — per-u suffixes are then cheap re-slices.
+		aLo, aHi := rangeOf(fv, kLo, kHi)
+		for m := mLo; m < mHi; m++ {
+			va := fv[aLo:aHi]
+			if t.J == t.K {
+				// Apex must also be above the middle vertex.
+				va = fv[max(m+1, aLo):aHi]
 			}
+			fu := fj.Fwd(fv[m])
+			uLo, uHi := rangeOf(fu, kLo, kHi)
+			n += intersectCount(va, fu[uLo:uHi], sc)
 		}
 	}
-	counts := make([]int, len(tasks))
-	fn := func(ti int) {
-		t := tasks[ti]
-		sc := getTwoDScratch(rc.ranks())
-		defer twoDScratchPool.Put(sc)
-		jLo, jHi := cuts[t.j], cuts[t.j+1]
-		kLo, kHi := cuts[t.k], cuts[t.k+1]
-		n := 0
-		for r := int(cuts[t.i]); r < int(cuts[t.i+1]); r++ {
-			fv := rc.fwd(r)
-			// Middle vertices: forward neighbors of r inside block j.
-			mLo, mHi := rangeOf(fv, jLo, jHi)
-			if mLo == mHi {
-				continue
-			}
-			// Apexes live in block k; slice v's forward list down to it
-			// once — per-u suffixes are then cheap re-slices.
-			aLo, aHi := rangeOf(fv, kLo, kHi)
-			for m := mLo; m < mHi; m++ {
-				ru := fv[m]
-				va := fv[aLo:aHi]
-				if t.j == t.k {
-					// Apex must also be above the middle vertex.
-					va = fv[max(m+1, aLo):aHi]
-				}
-				fu := rc.fwd(int(ru))
-				uLo, uHi := rangeOf(fu, kLo, kHi)
-				n += intersectCount(va, fu[uLo:uHi], sc)
-			}
-		}
-		counts[ti] = n
-	}
+	return n
+}
+
+// count runs every block triple of the plan on the par pool and reduces
+// the private per-task counts in task order. cp is probed before each
+// block triple starts (nil = never canceled); sp, when non-nil, gets one
+// "triangle.triple" child per task carrying the block coordinates and
+// the task's count.
+func (pl *DistPlan) count(workers int, cp par.Checkpoint, sp *obs.Span) (int, error) {
+	triples := pl.Tiling.Triples()
+	counts := make([]int, len(triples))
+	fn := func(ti int) { counts[ti] = pl.CountTriple(triples[ti]) }
 	if sp != nil {
 		inner := fn
 		fn = func(ti int) {
-			t := tasks[ti]
+			t := triples[ti]
 			child := sp.Child("triangle.triple")
-			child.AttrInt("bi", t.i).AttrInt("bj", t.j).AttrInt("bk", t.k)
+			child.AttrInt("bi", t.I).AttrInt("bj", t.J).AttrInt("bk", t.K)
 			inner(ti)
 			child.AttrInt("count", counts[ti])
 			child.End()
 		}
 	}
-	if err := par.ForEachCheck(workers, len(tasks), cp, fn); err != nil {
+	if err := par.ForEach(workers, len(triples), cp, nil, "", fn); err != nil {
 		return 0, err
 	}
 	total := 0
